@@ -1471,7 +1471,7 @@ let with_serve_dir f =
    "worker-child" processes, one per job attempt. *)
 let worker_argv_of_pool pool =
   if String.equal pool "workers" then
-    Some [| Sys.executable_name; "worker-child" |]
+    Some [| Exec.Checkpoint.running_image (); "worker-child" |]
   else None
 
 let spawn_server ?(pool = "in-process") ~socket ~state ~runners () =
@@ -2374,6 +2374,118 @@ let chaos_serve () =
    Exec.Checkpoint campaigns against the same per-job journal layout, so
    any divergence is a real bug in the dispatch/stream/persist path, not
    noise. *)
+(* One job attempt through a bare worker process, dispatched the way the
+   server does it: Hello, Job, then frames until Job_done. [Ok (cases,
+   replayed)] from the Job_done frame. *)
+let worker_attempt (spec : Serve.Procpool.job_spec) =
+  match
+    Serve.Procpool.spawn ~argv:(Option.get (worker_argv_of_pool "workers")) ()
+  with
+  | Error e -> Error ("spawn: " ^ e)
+  | Ok w ->
+    let fd = w.Serve.Procpool.fd in
+    let buf = Bytes.create 65536 in
+    let pending = Queue.create () in
+    let deadline = Unix.gettimeofday () +. 60.0 in
+    let rec frame () =
+      match Queue.take_opt pending with
+      | Some m -> Ok m
+      | None when Unix.gettimeofday () > deadline -> Error "worker timed out"
+      | None -> (
+        match Unix.select [ fd ] [] [] 1.0 with
+        | [], _, _ -> frame ()
+        | _ -> (
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> Error "worker closed its channel before Job_done"
+          | n -> (
+            match Serve.Wire.feed w.Serve.Procpool.dec buf 0 n with
+            | Error e -> Error ("worker framing: " ^ e)
+            | Ok payloads ->
+              List.iter
+                (fun p ->
+                  Result.iter
+                    (fun m -> Queue.add m pending)
+                    (Serve.Procpool.to_server_of_string p))
+                payloads;
+              frame ())
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+            ->
+            frame ())
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> frame ())
+    in
+    let rec until_done () =
+      match frame () with
+      | Ok (Serve.Procpool.Job_done { failed = Some m; _ }) -> Error m
+      | Ok (Serve.Procpool.Job_done { cases; replayed; _ }) -> Ok (cases, replayed)
+      | Ok _ -> until_done ()
+      | Error e -> Error e
+    in
+    let outcome =
+      match frame () with
+      | Ok (Serve.Procpool.Hello _) ->
+        if Serve.Procpool.send w (Serve.Procpool.Job spec) then until_done ()
+        else Error "worker did not take the Job frame"
+      | Ok _ -> Error "worker's first frame is not Hello"
+      | Error e -> Error e
+    in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    (try Unix.kill w.Serve.Procpool.pid Sys.sigkill with Unix.Unix_error _ -> ());
+    wait_exit w.Serve.Procpool.pid;
+    outcome
+
+(* The code-version hand-off, proven in a real worker: re-run each
+   finished job's journal through a worker handed the server's version —
+   every case must replay — and then one handed a bogus version, which
+   must refuse the journal's fingerprint and recompute every case. The
+   results file must come out byte-identical both times. This process runs
+   the image the server digested, so its own [code_version] is the
+   server's. Returns the failures found. *)
+let handoff_check ~state ids =
+  let problems = ref [] in
+  let failf fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
+  let server_version = Exec.Checkpoint.code_version () in
+  List.iter
+    (fun id ->
+      match
+        (Serve.Store.submission store id, Serve.Store.read_results store id)
+      with
+      | Some sub, Some want ->
+        List.iter
+          (fun (label, version, fresh) ->
+            let results_path =
+              Filename.concat state (Printf.sprintf "handoff-%d-%s.jsonl" id label)
+            in
+            let spec =
+              { Serve.Procpool.id;
+                backend = sub.Serve.Store.backend;
+                cases = sub.Serve.Store.cases;
+                opts = sub.Serve.Store.opts;
+                journal_dir = Serve.Store.journal_dir store id;
+                results_path;
+                domains = sub.Serve.Store.opts.Exec.Campaign_opts.domains;
+                poison = [];
+                kb_dir = None;
+                kb_readonly = false;
+                code_version = Some version }
+            in
+            match worker_attempt spec with
+            | Error e -> failf "job %d, %s version: worker failed: %s" id label e
+            | Ok (cases, replayed) ->
+              let want_replayed = if fresh then 0 else cases in
+              if cases = 0 || replayed <> want_replayed then
+                failf "job %d, %s version: replayed %d of %d case(s), want %d" id
+                  label replayed cases want_replayed;
+              if Rb_util.Fsfile.read results_path <> Some want then
+                failf "job %d, %s version: results differ from the server's" id
+                  label)
+          [ ("server", server_version, false);
+            ("bogus", "bogus-code-version", true) ]
+      | _ -> failf "job %d: nothing to re-run through a worker" id)
+    ids;
+  List.rev !problems
+
 let procpool_smoke () =
   section "Procpool smoke — worker-pool and in-process results byte-identical";
   let failures = ref 0 in
@@ -2393,65 +2505,73 @@ let procpool_smoke () =
     [ List.filteri (fun i _ -> i < half) names;
       List.filteri (fun i _ -> i >= half) names ]
   in
-  let run_mode pool =
+  let run_mode ?(inspect = fun _ -> ()) pool =
     with_serve_dir (fun dir ->
         let socket = Filename.concat dir "sock" in
         let state = Filename.concat dir "state" in
         let pid = spawn_server ~pool ~socket ~state ~runners:2 () in
-        Fun.protect ~finally:(fun () -> kill_server pid)
-          (fun () ->
-            match
-              Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
-            with
-            | Error e ->
-              failf "%s connect: %s" pool e;
-              []
-            | Ok c ->
-              Fun.protect ~finally:(fun () -> Serve.Client.close c)
-                (fun () ->
-                  let results =
-                    List.mapi
-                      (fun i cases ->
-                        match
-                          Serve.Client.run_job c ~tenant:"procpool"
-                            ~backend:"rustbrain" ~cases:(Some cases)
-                            ~opts:(Some serve_smoke_opts)
-                        with
-                        | Error e ->
-                          failf "%s job %d: %s" pool i e;
-                          None
-                        | Ok ((_, _, failed), frames) ->
-                          (match failed with
-                          | Some m -> failf "%s job %d failed: %s" pool i m
-                          | None -> ());
-                          let want = List.length cases * 2 in
-                          if List.length frames <> want then
-                            failf "%s job %d: %d CASE frame(s), want %d" pool
-                              i (List.length frames) want;
-                          let store =
-                            Serve.Store.open_dir ~scrub:false ~dir:state ()
-                          in
-                          Rb_util.Fsfile.read
-                            (Serve.Store.results_path store i))
-                      jobs
-                  in
-                  (match Serve.Client.request c Serve.Wire.Health with
-                  | Ok (Serve.Wire.Health { pool = got; worker_pids; _ }) ->
-                    if String.equal pool "workers" && worker_pids = [] then
-                      failf "workers HEALTH: no worker pids";
-                    if not (String.equal got pool) then
-                      failf "HEALTH pool: %s, want %s" got pool
-                  | Ok r ->
-                    failf "%s HEALTH: unexpected %s" pool
-                      (Serve.Wire.response_to_string r)
-                  | Error e -> failf "%s HEALTH: %s" pool e);
-                  ignore
-                    (Serve.Client.request c Serve.Wire.Shutdown
-                      : (Serve.Wire.response, string) result);
-                  results)))
+        let results =
+          Fun.protect ~finally:(fun () -> kill_server pid)
+            (fun () ->
+              match
+                Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
+              with
+              | Error e ->
+                failf "%s connect: %s" pool e;
+                []
+              | Ok c ->
+                Fun.protect ~finally:(fun () -> Serve.Client.close c)
+                  (fun () ->
+                    let results =
+                      List.mapi
+                        (fun i cases ->
+                          match
+                            Serve.Client.run_job c ~tenant:"procpool"
+                              ~backend:"rustbrain" ~cases:(Some cases)
+                              ~opts:(Some serve_smoke_opts)
+                          with
+                          | Error e ->
+                            failf "%s job %d: %s" pool i e;
+                            None
+                          | Ok ((_, _, failed), frames) ->
+                            (match failed with
+                            | Some m -> failf "%s job %d failed: %s" pool i m
+                            | None -> ());
+                            let want = List.length cases * 2 in
+                            if List.length frames <> want then
+                              failf "%s job %d: %d CASE frame(s), want %d" pool
+                                i (List.length frames) want;
+                            let store =
+                              Serve.Store.open_dir ~scrub:false ~dir:state ()
+                            in
+                            Rb_util.Fsfile.read
+                              (Serve.Store.results_path store i))
+                        jobs
+                    in
+                    (match Serve.Client.request c Serve.Wire.Health with
+                    | Ok (Serve.Wire.Health { pool = got; worker_pids; _ }) ->
+                      if String.equal pool "workers" && worker_pids = [] then
+                        failf "workers HEALTH: no worker pids";
+                      if not (String.equal got pool) then
+                        failf "HEALTH pool: %s, want %s" got pool
+                    | Ok r ->
+                      failf "%s HEALTH: unexpected %s" pool
+                        (Serve.Wire.response_to_string r)
+                    | Error e -> failf "%s HEALTH: %s" pool e);
+                    ignore
+                      (Serve.Client.request c Serve.Wire.Shutdown
+                        : (Serve.Wire.response, string) result);
+                    results))
+        in
+        inspect state;
+        results)
   in
   let inproc = run_mode "in-process" in
-  let workers = run_mode "workers" in
+  let workers =
+    run_mode "workers"
+      ~inspect:(fun state ->
+        List.iter (failf "%s") (handoff_check ~state (List.mapi (fun i _ -> i) jobs)))
+  in
   List.iteri
     (fun i (a, b) ->
       match (a, b) with
@@ -2463,7 +2583,8 @@ let procpool_smoke () =
   if !failures > 0 then exit 1;
   Printf.printf
     "procpool smoke ok: %d job(s) (%d cases x %d seeds) byte-identical \
-     between worker and in-process pools\n"
+     between worker and in-process pools; workers replay under the \
+     handed-off code version and recompute under a bogus one\n"
     (List.length jobs) (List.length names) 2
 
 let serve_bench_file = "BENCH_serve.json"

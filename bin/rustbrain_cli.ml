@@ -916,9 +916,13 @@ let serve_cmd =
             max_queue; quota; weights; default_opts;
             max_crashes; stall_timeout_s = stall_timeout;
             job_timeout_s = job_timeout; evict_idle_s = evict_idle;
+            (* workers exec the image this server runs — the one its
+               code version digests, even if the binary is rebuilt on
+               disk mid-run *)
             worker_argv =
               (if in_process then None
-               else Some [| Sys.executable_name; "__rb_worker" |]);
+               else
+                 Some [| Exec.Checkpoint.running_image (); "__rb_worker" |]);
             worker_mem_mb;
             rng_seed = Exec.Campaign_opts.seed opts;
             kb_dir = opts.Exec.Campaign_opts.kb_dir;

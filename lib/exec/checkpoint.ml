@@ -12,10 +12,18 @@ type outcome = {
 
 (* Snapshots marshal closures, so they are only meaningful inside the
    binary that wrote them; digesting the executable makes a rebuilt binary
-   a different campaign. Memoized under a mutex, not [lazy]: the serve
-   runner slots call [run] from several domains at once, and concurrent
-   [Lazy.force] of one shared suspension raises [CamlinternalLazy.Undefined]
-   in every domain that loses the race. *)
+   a different campaign. The digest is of the running image, not of the
+   path it was started from: a binary rebuilt on disk mid-run must not
+   change the version of the process that is still running the old one.
+   Memoized under a mutex, not [lazy]: the serve runner slots call [run]
+   from several domains at once, and concurrent [Lazy.force] of one shared
+   suspension raises [CamlinternalLazy.Undefined] in every domain that
+   loses the race. *)
+let running_image () =
+  if Sys.file_exists "/proc/self/exe" then "/proc/self/exe"
+  else Sys.executable_name
+
+let unknown_version = "unknown-binary"
 let code_version_mx = Mutex.create ()
 let code_version_memo = ref None
 
@@ -25,12 +33,15 @@ let code_version () =
       | Some v -> v
       | None ->
         let v =
-          match Digest.file Sys.executable_name with
+          match Digest.file (running_image ()) with
           | d -> Digest.to_hex d
-          | exception _ -> "unknown-binary"
+          | exception _ -> unknown_version
         in
         code_version_memo := Some v;
         v)
+
+let adopt_code_version v =
+  Mutex.protect code_version_mx (fun () -> code_version_memo := Some v)
 
 let fingerprint (jobs : Scheduler.job list) =
   let buf = Buffer.create 256 in

@@ -8,7 +8,7 @@
     rendered by [Report.to_json]/[csv_row]) to the uninterrupted run, for
     any kill point at a record boundary and any domain count.
 
-    The fingerprint digests the code version (executable digest), every
+    The fingerprint digests the {!code_version} (running-image digest), every
     job's label, its runner fingerprint (backend name + config), its seed
     and its case-name list. Anything that could change a report changes
     the fingerprint, and a journal whose manifest disagrees is refused
@@ -38,6 +38,25 @@ type outcome = {
   recomputed : int;  (** cases scheduled for (re-)execution this run *)
   dropped : int;     (** corrupt tail records the journal loader discarded *)
 }
+
+val running_image : unit -> string
+(** Path of the executable image this process is running:
+    [/proc/self/exe] where it exists, otherwise [Sys.executable_name].
+    Exec'ing it starts the same inode {!code_version} digested, even after
+    the binary was rebuilt on disk. *)
+
+val unknown_version : string
+(** What {!code_version} returns when the running image cannot be read. *)
+
+val code_version : unit -> string
+(** Hex MD5 of {!running_image}, computed once per process and memoized
+    ({!unknown_version} when the image is unreadable). The first component
+    of every {!fingerprint}. *)
+
+val adopt_code_version : string -> unit
+(** Seed the {!code_version} memo with a version computed elsewhere — a
+    serve worker adopts its server's digest of the image both execute, so
+    it does not digest the binary again. Later calls return [v]. *)
 
 val fingerprint : Scheduler.job list -> string
 (** The campaign fingerprint {!run} will stamp into (and demand from) the

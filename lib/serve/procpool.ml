@@ -31,6 +31,10 @@ type job_spec = {
      server-to-worker frame only *)
   kb_dir : string option;
   kb_readonly : bool;
+  (* the server's [Checkpoint.code_version] of the image the worker execs:
+     the worker adopts it instead of digesting the binary itself. Absent
+     when the server could not digest, so each worker digests on its own. *)
+  code_version : string option;
 }
 
 type to_worker =
@@ -67,6 +71,9 @@ let to_worker_string = function
                 ("journal_dir", Str j.journal_dir);
                 ("results_path", Str j.results_path) ];
               (match j.domains with None -> [] | Some d -> [ ("domains", num d) ]);
+              (match j.code_version with
+              | None -> []
+              | Some v -> [ ("code_version", Str v) ]);
               (match j.kb_dir with
               | None -> []
               | Some d ->
@@ -128,16 +135,18 @@ let to_worker_of_string s =
     let kb_readonly =
       Option.value ~default:false (Option.bind (member "kb_readonly" json) to_bool)
     in
+    let code_version = Option.bind (member "code_version" json) to_str in
     Ok
       (Job
          { id; backend; cases; opts; journal_dir; results_path; domains; poison;
-           kb_dir; kb_readonly })
+           kb_dir; kb_readonly; code_version })
   | Some t -> Error (Printf.sprintf "unknown worker frame type %S" t)
   | None -> Error "worker frame: missing \"type\""
 
-(* [Case_done] splices the rendered report verbatim, mirroring [Wire.Case]:
-   the bytes the server relays to subscribers are exactly the bytes
-   [Report.to_json] produced in the worker. *)
+(* [Case_done] splices the rendered report verbatim, mirroring [Wire.Case],
+   and the decoder slices it back out ([Wire.report_member]): the bytes the
+   server relays to subscribers are exactly the bytes [Report.to_json]
+   produced in the worker. *)
 let to_server_string = function
   | Hello { pid } -> to_string (Obj [ ("type", Str "hello"); ("pid", num pid) ])
   | Heartbeat -> to_string (Obj [ ("type", Str "heartbeat") ])
@@ -176,9 +185,8 @@ let to_server_of_string s =
       | None -> Error "worker frame: missing \"case\""
     in
     let* report_json =
-      match member "report" json with
-      | Some r -> Ok (to_string r)
-      | None -> Error "worker frame: missing \"report\""
+      Option.to_result ~none:"worker frame: missing \"report\""
+        (Wire.report_member s json)
     in
     Ok (Case_done { seq; case; seed; report_json })
   | Some "done" ->
@@ -270,9 +278,10 @@ let send w msg =
 
 (* -- worker side -------------------------------------------------------- *)
 
-(* The worker process: Hello, one Job, stream cases, durable results,
-   Done, exit. EOF on the control channel means the supervisor is gone —
-   exit immediately so a dead server never strands orphan workers. *)
+(* The worker process: Hello, one Job, adopt the server's code version,
+   stream cases, durable results, Done, exit. EOF on the control channel
+   means the supervisor is gone — exit immediately so a dead server never
+   strands orphan workers. *)
 let worker_main () =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
@@ -335,6 +344,7 @@ let worker_main () =
     match next_msg () with Cancel -> await_job () | Job spec -> spec
   in
   let spec = await_job () in
+  Option.iter Exec.Checkpoint.adopt_code_version spec.code_version;
   let cancelled = ref false in
   let last_heartbeat = ref 0.0 in
   let boundary (case : Dataset.Case.t) =

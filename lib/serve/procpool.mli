@@ -15,9 +15,10 @@
       results file is written.
     - server → worker: [Job] (id, backend, cases,
       {!Exec.Campaign_opts.to_wire_json} opts, journal dir, results path,
-      poison plan), [Cancel] (the cooperative rung of the escalation
-    ladder). EOF on the channel tells the worker its supervisor is gone:
-    it exits, so a dead server never strands orphans. *)
+      poison plan, optional [code_version]), [Cancel] (the cooperative
+      rung of the escalation ladder). EOF on the channel tells the worker
+      its supervisor is gone: it exits, so a dead server never strands
+      orphans. *)
 
 type job_spec = {
   id : int;
@@ -32,6 +33,13 @@ type job_spec = {
       (** per-tenant persistent KB store; server-chosen (never taken off the
           client wire) and carried on this server→worker frame only *)
   kb_readonly : bool;
+  code_version : string option;
+      (** the server's {!Exec.Checkpoint.code_version}, digested once per
+          server from the image every worker execs. The worker adopts it
+          ({!Exec.Checkpoint.adopt_code_version}) before running the job,
+          so journal fingerprints match without digesting the binary per
+          attempt. [None] (the field left off the frame) makes the worker
+          digest its own image — never the [unknown-binary] placeholder. *)
 }
 
 type to_worker = Job of job_spec | Cancel
@@ -83,5 +91,5 @@ val send : worker -> to_worker -> bool
 
 val worker_main : unit -> 'a
 (** The worker process entry point (hidden CLI subcommand): Hello, one
-    Job, stream cases, write durable results, Job_done, exit. Never
-    returns. *)
+    Job, adopt its [code_version] when present, stream cases, write
+    durable results, Job_done, exit. Never returns. *)

@@ -296,7 +296,32 @@ let response_to_string = function
             ("kills_kill", num kills_kill); ("zombies", num zombies) ]
       | Error_msg msg -> Obj [ ("type", Str "error"); ("msg", Str msg) ])
 
-let response_of_json json =
+(* The encoders splice the report in as the frame's last member, after
+   members that [to_string] renders canonically. So when [payload] is that
+   canonical rendering of the other members, then the report, then the
+   closing brace, the slice in between is the report's bytes exactly as
+   the sender wrote them. A frame of any other shape falls back to
+   rendering the parsed member again. *)
+let report_member payload json =
+  match json with
+  | Obj fields -> (
+    match List.rev fields with
+    | ("report", report) :: rest ->
+      let others = to_string (Obj (List.rev rest)) in
+      let prefix =
+        String.sub others 0 (String.length others - 1)
+        ^ (if rest = [] then "" else ",")
+        ^ {|"report":|}
+      in
+      let pl = String.length prefix and n = String.length payload in
+      Some
+        (if n > pl && String.starts_with ~prefix payload && payload.[n - 1] = '}'
+         then String.sub payload pl (n - pl - 1)
+         else to_string report)
+    | _ -> Option.map to_string (member "report" json))
+  | _ -> None
+
+let response_of_json ~payload json =
   let ( let* ) r f = Result.bind r f in
   let int name =
     match Option.bind (member name json) to_int with
@@ -377,9 +402,8 @@ let response_of_json json =
     let* case = str "case" in
     let* seed = int "seed" in
     let* report_json =
-      match member "report" json with
-      | Some r -> Ok (to_string r)
-      | None -> Error "response: missing \"report\""
+      Option.to_result ~none:"response: missing \"report\""
+        (report_member payload json)
     in
     Ok (Case { id; seq; case; seed; report_json })
   | "done" ->
@@ -459,4 +483,4 @@ let parse_request s =
 let parse_response s =
   match parse s with
   | Error e -> Error ("response: " ^ e)
-  | Ok j -> response_of_json j
+  | Ok j -> response_of_json ~payload:s j

@@ -141,3 +141,12 @@ val request_to_json : request -> Rb_util.Json.t
 val response_to_string : response -> string
 val parse_request : string -> (request, string) result
 val parse_response : string -> (response, string) result
+(** A [case] frame's [report_json] is the ["report"] member's bytes as
+    sent ({!report_member}), not a re-rendering. *)
+
+val report_member : string -> Rb_util.Json.t -> string option
+(** [report_member payload json], where [json] is [payload] parsed: the
+    ["report"] member's raw bytes when [payload] has the shape the
+    splicing encoders write (report last, the other members rendered as
+    [Json.to_string] would). Another shape gets the parsed member
+    rendered again; [None] when there is no ["report"] member. *)

@@ -338,6 +338,57 @@ let test_checkpoint_truncated_tail_recomputes () =
       Alcotest.(check int) "healed journal fully replays" 0
         o2.Exec.Checkpoint.recomputed)
 
+(* [adopt_code_version] replaces this process's version for every later
+   fingerprint; put the real one back so no other test sees a foreign
+   version *)
+let with_adopted_version f =
+  let own = Exec.Checkpoint.code_version () in
+  Fun.protect
+    ~finally:(fun () -> Exec.Checkpoint.adopt_code_version own)
+    (fun () -> f own)
+
+let test_adopted_version_feeds_fingerprint () =
+  with_adopted_version (fun own ->
+      let fp () = Exec.Checkpoint.fingerprint (quick_jobs ()) in
+      let own_fp = fp () in
+      Exec.Checkpoint.adopt_code_version own;
+      Alcotest.(check string) "adopting the own version changes nothing"
+        own_fp (fp ());
+      Exec.Checkpoint.adopt_code_version "version-a";
+      Alcotest.(check string) "code_version returns the adopted value"
+        "version-a" (Exec.Checkpoint.code_version ());
+      let fp_a = fp () in
+      Alcotest.(check bool) "adopted version changes the fingerprint" true
+        (fp_a <> own_fp);
+      Exec.Checkpoint.adopt_code_version "version-b";
+      Alcotest.(check bool) "another version, another fingerprint" true
+        (fp () <> fp_a);
+      Exec.Checkpoint.adopt_code_version "version-a";
+      Alcotest.(check string) "same version, same fingerprint" fp_a (fp ()))
+
+let test_resume_under_other_version_refused () =
+  with_adopted_version (fun _ ->
+      with_dir (fun dir ->
+          Exec.Checkpoint.adopt_code_version "version-a";
+          let _ =
+            Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Fresh
+              (quick_jobs ())
+          in
+          Exec.Checkpoint.adopt_code_version "version-b";
+          (match
+             Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Resume
+               (quick_jobs ())
+           with
+          | _ -> Alcotest.fail "journal of another code version replayed"
+          | exception Exec.Checkpoint.Fingerprint_mismatch _ -> ());
+          Exec.Checkpoint.adopt_code_version "version-a";
+          let o =
+            Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Resume
+              (quick_jobs ())
+          in
+          Alcotest.(check int) "its own version replays it all" 0
+            o.Exec.Checkpoint.recomputed))
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "of_json rejects garbage" `Quick test_of_json_rejects_garbage;
@@ -352,4 +403,8 @@ let suite =
     Alcotest.test_case "fingerprint mismatch refused" `Quick
       test_checkpoint_fingerprint_mismatch;
     Alcotest.test_case "truncated tail recomputed" `Quick
-      test_checkpoint_truncated_tail_recomputes ]
+      test_checkpoint_truncated_tail_recomputes;
+    Alcotest.test_case "adopted code version feeds fingerprint" `Quick
+      test_adopted_version_feeds_fingerprint;
+    Alcotest.test_case "resume under another code version refused" `Quick
+      test_resume_under_other_version_refused ]

@@ -45,6 +45,11 @@ let mk_report ?(name = "case-a") ?(passed = true) () =
     gave_up = false;
     trace = [ "line one"; "line \"two\"\twith\\escapes" ] }
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* -- framing ------------------------------------------------------------ *)
 
 let feed_string d s =
@@ -220,20 +225,13 @@ let test_case_frame_verbatim () =
     Wire.response_to_string
       (Wire.Case { id = 1; seq = 0; case = "case-a"; seed = 7; report_json })
   in
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "splices report verbatim" true
     (contains ~needle:(Printf.sprintf "\"report\":%s" report_json) rendered);
   match Wire.parse_response rendered with
-  | Ok (Wire.Case { report_json = rj; _ }) -> (
-    (* parse side re-renders through Json.t; the report must survive *)
-    match Rustbrain.Report.of_json rj with
-    | Ok r -> Alcotest.(check string) "report intact" report_json
-                (Rustbrain.Report.to_json r)
-    | Error e -> Alcotest.failf "re-rendered report unreadable: %s" e)
+  | Ok (Wire.Case { report_json = rj; _ }) ->
+    (* the parse side slices the member out rather than re-rendering it:
+       "%.6f" seconds like 12.500000 survive as written *)
+    Alcotest.(check string) "decoded bytes = Report.to_json" report_json rj
   | Ok _ -> Alcotest.fail "case frame parsed as something else"
   | Error e -> Alcotest.failf "case frame rejected: %s" e
 
@@ -842,7 +840,8 @@ let test_procpool_job_roundtrip () =
       poison =
         [ ("case-a", Jobrun.Poison_stop); ("case \"b\"", Jobrun.Poison_oom) ];
       kb_dir = Some "/tmp/state/kb/tenant-a";
-      kb_readonly = true }
+      kb_readonly = true;
+      code_version = None }
   in
   List.iter
     (fun msg ->
@@ -858,6 +857,37 @@ let test_procpool_job_roundtrip () =
       Procpool.Job { spec with kb_dir = None; kb_readonly = false };
       Procpool.Job { spec with kb_readonly = false };
       Procpool.Cancel ]
+
+let test_procpool_job_code_version () =
+  (* the server's digest rides the Job frame when it has one; without one
+     the field is left off entirely, so the worker digests itself *)
+  let spec =
+    { Procpool.id = 3;
+      backend = "rustbrain";
+      cases = [ "case-a" ];
+      opts = wire_opts;
+      journal_dir = "/tmp/state/jobs/job-000003";
+      results_path = "/tmp/state/results/job-000003.jsonl";
+      domains = None;
+      poison = [];
+      kb_dir = None;
+      kb_readonly = false;
+      code_version = Some "0123456789abcdef0123456789abcdef" }
+  in
+  List.iter
+    (fun (spec : Procpool.job_spec) ->
+      let rendered = Procpool.to_worker_string (Procpool.Job spec) in
+      Alcotest.(check bool) "field present iff handed off"
+        (spec.code_version <> None)
+        (contains ~needle:"code_version" rendered);
+      match Procpool.to_worker_of_string rendered with
+      | Ok (Procpool.Job got) ->
+        Alcotest.(check (option string)) "code_version round-trips"
+          spec.code_version got.code_version;
+        Alcotest.(check bool) "whole spec round-trips" true (got = spec)
+      | Ok Procpool.Cancel -> Alcotest.fail "job frame decoded as cancel"
+      | Error e -> Alcotest.failf "job frame rejected: %s" e)
+    [ spec; { spec with code_version = None } ]
 
 let test_procpool_server_roundtrip () =
   let report_json =
@@ -888,13 +918,15 @@ let test_procpool_case_done_verbatim () =
     Procpool.to_server_string
       (Procpool.Case_done { seq = 0; case = "case-a"; seed = 7; report_json })
   in
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "report spliced verbatim" true
-    (contains ~needle:(Printf.sprintf "\"report\":%s" report_json) rendered)
+    (contains ~needle:(Printf.sprintf "\"report\":%s" report_json) rendered);
+  match Procpool.to_server_of_string rendered with
+  | Ok (Procpool.Case_done { report_json = rj; _ }) ->
+    (* the decoded bytes are the sent bytes, not a re-rendering: "%.6f"
+       seconds like 12.500000 survive as written *)
+    Alcotest.(check string) "decoded bytes = Report.to_json" report_json rj
+  | Ok _ -> Alcotest.fail "case frame decoded as another frame"
+  | Error e -> Alcotest.failf "case frame rejected: %s" e
 
 let test_procpool_malformed () =
   List.iter
@@ -1018,6 +1050,8 @@ let suite =
       test_procpool_server_roundtrip;
     Alcotest.test_case "procpool: case frame splices report verbatim" `Quick
       test_procpool_case_done_verbatim;
+    Alcotest.test_case "procpool: job frame code version present and absent"
+      `Quick test_procpool_job_code_version;
     Alcotest.test_case "procpool: malformed frames rejected" `Quick
       test_procpool_malformed;
     Alcotest.test_case "procpool: poison labels round-trip" `Quick
