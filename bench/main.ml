@@ -3,10 +3,14 @@
    micro-benchmarks of the substrates.
 
    Usage:
-     dune exec bench/main.exe             # everything
+     dune exec bench/main.exe             # the paper figures and perf
      dune exec bench/main.exe -- fig8     # a single experiment
-   Experiments: fig5 fig7 fig8 fig9 fig10 fig11 fig12 table1 ablate perf smoke
-                resilience resilience-smoke chaos resume-smoke
+   Experiments: fig5 fig7 fig8 fig9 fig10 fig11 fig12 table1 ablate perf
+                smoke resilience resilience-smoke chaos resume-smoke interp
+                interp-smoke bytecode-smoke trace-smoke obs-overhead
+                serve-smoke chaos-serve procpool-smoke knn kb-smoke
+   Serve throughput and latency are measured by perfbench
+   (`python3 perfbench/run.py --workload serve-burst`).
 
    Every multi-seed campaign goes through the unified Exec runner API, so
    backends are interchangeable and campaigns shard across domains; `perf`
@@ -1466,27 +1470,70 @@ let with_serve_dir f =
 (* The bench binary re-execs itself as the server process ("serve-child"
    argv mode, dispatched in the driver below) so the smoke gate can
    kill -9 a real server process mid-campaign — the crash the durable
-   admission contract is written against, not a simulated one. In
-   ["workers"] pool mode the server in turn re-execs this binary as
-   "worker-child" processes, one per job attempt. *)
-let worker_argv_of_pool pool =
-  if String.equal pool "workers" then
-    Some [| Exec.Checkpoint.running_image (); "worker-child" |]
-  else None
+   admission contract is written against, not a simulated one. The server
+   in turn re-execs this binary as "worker-child" processes, one per job
+   attempt. *)
+let worker_argv () = [| Exec.Checkpoint.running_image (); "worker-child" |]
 
-let spawn_server ?(pool = "in-process") ~socket ~state ~runners () =
-  Unix.create_process Sys.executable_name
-    [| Sys.executable_name; "serve-child"; socket; state;
-       string_of_int runners; pool |]
-    Unix.stdin Unix.stdout Unix.stderr
+(* Chaos modes arm the poison plan: named cases kill their worker process
+   ("exit"), hang it forever ("hang"), or SIGSTOP/SIGKILL/OOM it mid-job
+   ("workers") — the crash vectors only preemption can reclaim. Everything
+   else is the production configuration; only the watchdog clocks (and in
+   workers mode the crash budget and memory cap) are scaled down so the
+   escalation ladder runs in test time. Mode "noexec" gives the server a
+   worker path that does not exist, so every worker it forks fails its
+   exec. *)
+let chaos_worker_max_crashes = 2
+let chaos_worker_stall_s = 2.0
+let chaos_worker_grace_s = 0.4
+let chaos_worker_mem_mb = 512
 
-let serve_child ~socket ~state ~runners ~pool =
+(* "case-a=stop,case-b=oom" -> a declarative poison plan; entries with
+   unknown labels are dropped *)
+let parse_poison_spec spec =
+  String.split_on_char ',' spec
+  |> List.filter_map (fun part ->
+       match String.index_opt part '=' with
+       | Some i ->
+         let case = String.sub part 0 i in
+         let label =
+           String.sub part (i + 1) (String.length part - i - 1)
+         in
+         Option.map (fun m -> (case, m)) (Serve.Jobrun.poison_of_label label)
+       | None -> None)
+
+let serve_child ~socket ~state ~runners ~poison_spec ~mode =
+  let workers = String.equal mode "workers" in
+  (* hang/workers modes shorten the watchdog clocks so the escalation
+     ladder runs in test time — but the stall deadline must still clear a
+     real case repair with margin, or the watchdog kills honest jobs *)
+  let stall, grace =
+    match mode with
+    | "hang" -> (2.0, 0.2)
+    | "workers" -> (chaos_worker_stall_s, chaos_worker_grace_s)
+    | _ -> (300.0, 1.0)
+  in
   let cfg =
     { Serve.Server.default_config with
       Serve.Server.socket; state_dir = state; runners; tick_s = 0.002;
-      worker_argv = worker_argv_of_pool pool }
+      stall_timeout_s = stall; abandon_grace_s = grace;
+      max_crashes =
+        (if workers then chaos_worker_max_crashes
+         else Serve.Server.default_config.Serve.Server.max_crashes);
+      poison = parse_poison_spec poison_spec;
+      worker_argv =
+        (if String.equal mode "noexec" then [| "/nonexistent/rustbrain-worker" |]
+         else worker_argv ());
+      worker_mem_mb = (if workers then chaos_worker_mem_mb else 0) }
   in
   ignore (Serve.Server.run cfg : Serve.Server.summary)
+
+let spawn_server ?(poison_spec = "") ?(mode = "plain") ~socket ~state ~runners
+    () =
+  Unix.create_process Sys.executable_name
+    [| Sys.executable_name; "serve-child"; socket; state;
+       string_of_int runners; poison_spec; mode |]
+    Unix.stdin Unix.stdout Unix.stderr
 
 let wait_exit pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
@@ -1692,64 +1739,6 @@ let serve_smoke () =
 
 (* -- chaos-serve gate (dune runtest alias chaos-serve) ------------------ *)
 
-(* The chaos child is a real server process with the poison plan armed:
-   named cases reliably kill the whole process ("exit" on the in-process
-   pool), hang their runner forever ("hang"), or — under the "workers"
-   pool — SIGSTOP/SIGKILL/OOM the worker process mid-job, the crash
-   vectors only true preemption can reclaim. Everything else is the
-   production configuration; only the watchdog clocks (and in workers
-   mode the crash budget and memory cap) are scaled down so the
-   escalation ladder runs in test time. *)
-let chaos_worker_max_crashes = 2
-let chaos_worker_stall_s = 2.0
-let chaos_worker_grace_s = 0.4
-let chaos_worker_mem_mb = 512
-
-(* "case-a=stop,case-b=oom" -> a declarative poison plan; entries with
-   unknown labels are dropped *)
-let parse_poison_spec spec =
-  String.split_on_char ',' spec
-  |> List.filter_map (fun part ->
-       match String.index_opt part '=' with
-       | Some i ->
-         let case = String.sub part 0 i in
-         let label =
-           String.sub part (i + 1) (String.length part - i - 1)
-         in
-         Option.map (fun m -> (case, m)) (Serve.Jobrun.poison_of_label label)
-       | None -> None)
-
-let chaos_child ~socket ~state ~runners ~poison_spec ~mode =
-  let workers = String.equal mode "workers" in
-  (* hang/workers modes shorten the watchdog clocks so the escalation
-     ladder runs in test time — but the stall deadline must still clear a
-     real case repair with margin, or the watchdog kills honest jobs *)
-  let stall, grace =
-    match mode with
-    | "hang" -> (2.0, 0.2)
-    | "workers" -> (chaos_worker_stall_s, chaos_worker_grace_s)
-    | _ -> (300.0, 1.0)
-  in
-  let cfg =
-    { Serve.Server.default_config with
-      Serve.Server.socket; state_dir = state; runners; tick_s = 0.002;
-      stall_timeout_s = stall; abandon_grace_s = grace;
-      max_crashes =
-        (if workers then chaos_worker_max_crashes
-         else Serve.Server.default_config.Serve.Server.max_crashes);
-      poison = parse_poison_spec poison_spec;
-      worker_argv =
-        (if workers then worker_argv_of_pool "workers" else None);
-      worker_mem_mb = (if workers then chaos_worker_mem_mb else 0) }
-  in
-  ignore (Serve.Server.run cfg : Serve.Server.summary)
-
-let spawn_chaos ~socket ~state ~runners ~poison_spec ~mode =
-  Unix.create_process Sys.executable_name
-    [| Sys.executable_name; "chaos-child"; socket; state;
-       string_of_int runners; poison_spec; mode |]
-    Unix.stdin Unix.stdout Unix.stderr
-
 (* WNOHANG poll with a deadline, so a wedged server fails the gate instead
    of hanging runtest *)
 let wait_status ~timeout_s pid =
@@ -1767,6 +1756,23 @@ let wait_status ~timeout_s pid =
     | exception Unix.Unix_error _ -> None
   in
   go ()
+
+(* [kill -0]: false only on ESRCH *)
+let pid_alive pid =
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+(* Direct children of [pid], from /proc; [] where that is unavailable. *)
+let children pid =
+  let path = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
+  match open_in path with
+  | exception Sys_error _ -> []
+  | ic ->
+    let line = try input_line ic with End_of_file -> "" in
+    close_in_noerr ic;
+    List.filter_map int_of_string_opt (String.split_on_char ' ' line)
 
 let chaos_serve () =
   section
@@ -1836,17 +1842,17 @@ let chaos_serve () =
                   bytes)))
   in
   (* 2. the kill matrix: two normal jobs and one poison job on a server
-     whose poison case _exit(66)s the whole process mid-case, plus one
-     external kill -9 while a normal job is mid-journal. With one runner
-     at most one attempt is open per kill, so only the poison job can
-     spend the crash budget; the normal jobs must resume to byte-identical
-     results, and the poison job must be quarantined after exactly
-     [max_crashes] crashes. *)
+     whose poison case _exit(66)s its worker process mid-case, plus one
+     external kill -9 of the whole server while a normal job is
+     mid-journal. With one runner at most one attempt is open per kill,
+     so only the poison job can spend the crash budget; the normal jobs
+     must resume to byte-identical results, and the poison job must be
+     quarantined after exactly [max_crashes] crashes. *)
   with_serve_dir (fun dir ->
       let socket = Filename.concat dir "sock" in
       let state = Filename.concat dir "state" in
       let spawn () =
-        spawn_chaos ~socket ~state ~runners:1 ~poison_spec:(poison_case ^ "=exit") ~mode:"exit"
+        spawn_server ~socket ~state ~runners:1 ~poison_spec:(poison_case ^ "=exit") ~mode:"exit" ()
       in
       let pid0 = spawn () in
       let submitted =
@@ -1895,52 +1901,44 @@ let chaos_serve () =
         (match wait_status ~timeout_s:30.0 pid0 with
         | Some (Unix.WSIGNALED _) -> ()
         | Some _ | None -> failf "chaos: kill -9 did not take");
-        (* restart loop: each dispatch of the poison job _exit(66)s the
-           server; after [max_crashes] the startup scrub quarantines it
-           and the server finally stays up with every job terminal *)
-        let rec drive restarts pid =
-          if restarts > max_crashes + 3 then begin
-            failf "chaos: %d restarts without quarantine convergence"
-              restarts;
+        (* one restart: each dispatch of the poison job _exit(66)s only its
+           worker, so the server itself must stay up, count every crash,
+           respawn the slot and requeue until the budget is spent *)
+        let survivor =
+          let pid = spawn () in
+          let deadline = Unix.gettimeofday () +. 120.0 in
+          let rec poll () =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ ->
+              let st = Serve.Store.open_dir ~scrub:false ~dir:state () in
+              let terminal id =
+                match Serve.Store.status st id with
+                | Some (Serve.Store.Done _) | Some (Serve.Store.Quarantined _)
+                  ->
+                  true
+                | _ -> false
+              in
+              if terminal 0 && terminal 1 && terminal 2 then `Done
+              else if Unix.gettimeofday () > deadline then `Stuck
+              else begin
+                Unix.sleepf 0.02;
+                poll ()
+              end
+            | _, _ -> `Died
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
+          in
+          match poll () with
+          | `Done -> Some pid
+          | `Stuck ->
+            failf "chaos: jobs never reached a terminal state";
             kill_server pid;
             None
-          end
-          else begin
-            let deadline = Unix.gettimeofday () +. 120.0 in
-            let rec poll () =
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ ->
-                let st = Serve.Store.open_dir ~scrub:false ~dir:state () in
-                let terminal id =
-                  match Serve.Store.status st id with
-                  | Some (Serve.Store.Done _) | Some (Serve.Store.Quarantined _)
-                    ->
-                    true
-                  | _ -> false
-                in
-                if terminal 0 && terminal 1 && terminal 2 then `Done
-                else if Unix.gettimeofday () > deadline then `Stuck
-                else begin
-                  Unix.sleepf 0.02;
-                  poll ()
-                end
-              | _, Unix.WEXITED 66 -> `Died
-              | _, _ -> `Bad
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
-            in
-            match poll () with
-            | `Done -> Some pid
-            | `Died -> drive (restarts + 1) (spawn ())
-            | `Stuck ->
-              failf "chaos: jobs never reached a terminal state";
-              kill_server pid;
-              None
-            | `Bad ->
-              failf "chaos: server died outside the poison exit";
-              None
-          end
+          | `Died ->
+            failf "chaos: the server died; a poison exit must kill only its \
+                   worker";
+            None
         in
-        match drive 0 (spawn ()) with
+        match survivor with
         | None -> ()
         | Some pid ->
           let reaped = ref false in
@@ -2066,22 +2064,26 @@ let chaos_serve () =
                 failf "chaos fsck: %d torn record(s)"
                   (Serve.Store.fsck_count `Torn report))
       end);
-  (* 3. watchdog scenario: a case that hangs its runner domain forever.
-     Only the stall watchdog and the abandon ladder can reclaim the slot;
-     after [max_crashes] abandonments the job must be quarantined without
-     the server ever dying, and a normal job queued behind it must still
-     finish. *)
+  (* 3. watchdog scenario: a case that hangs its worker forever. Only the
+     stall watchdog can reclaim the slot: the worker never reaches another
+     case boundary to see the cancel, so it dies to the SIGTERM rung, and
+     the first [max_crashes - 1] attempts end that way. While the last
+     budgeted attempt hangs, the whole server is SIGKILLed: the restarted
+     server's startup scrub must read the spent budget from the crash WAL
+     and quarantine the job without dispatching it again, and a normal job
+     queued behind it must still finish. *)
   with_serve_dir (fun dir ->
       let socket = Filename.concat dir "sock" in
       let state = Filename.concat dir "state" in
-      let pid =
-        spawn_chaos ~socket ~state ~runners:1 ~poison_spec:(poison_case ^ "=hang") ~mode:"hang"
+      let spawn () =
+        spawn_server ~socket ~state ~runners:1 ~poison_spec:(poison_case ^ "=hang") ~mode:"hang" ()
       in
-      Fun.protect ~finally:(fun () -> kill_server pid)
+      let pid = ref (spawn ()) in
+      Fun.protect ~finally:(fun () -> kill_server !pid)
         (fun () ->
-          match
-            Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
-          with
+          (match
+             Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
+           with
           | Error e -> failf "hang connect: %s" e
           | Ok sub_c ->
             (* submit on its own connection and close it: a submitting
@@ -2104,71 +2106,105 @@ let chaos_serve () =
                   | Error e -> failf "hang submit: %s" e
                 in
                 (* poison first so it takes the slot, then a normal job
-                   that must finish behind the hang-abandon cycles *)
+                   that must finish behind the hang-reclaim cycles *)
                 submit [ poison_case ];
-                submit [ nth 1; nth 2 ]);
+                submit [ nth 1; nth 2 ]));
+          (* the crash WAL counts an attempt from its dispatch, and the
+             last budgeted one then hangs for the whole stall timeout *)
+          let rec wait_last tries =
+            let st = Serve.Store.open_dir ~scrub:false ~dir:state () in
+            if Serve.Store.crash_count st 0 >= max_crashes then true
+            else if tries <= 0 then false
+            else begin
+              Unix.sleepf 0.02;
+              wait_last (tries - 1)
+            end
+          in
+          if not (wait_last 3000) then
+            failf "hang: the poison job never reached its last budgeted attempt"
+          else begin
             (match Serve.Client.connect socket with
-            | Error e -> failf "hang poll connect: %s" e
+            | Error e -> failf "hang HEALTH connect: %s" e
             | Ok c ->
-              Fun.protect ~finally:(fun () -> Serve.Client.close c)
-                (fun () ->
-                  let deadline = Unix.gettimeofday () +. 60.0 in
-                  let rec poll id =
-                    match
-                      Serve.Client.request c (Serve.Wire.Status (Some id))
-                    with
-                    | Ok
-                        (Serve.Wire.Job
-                           { state =
-                               Serve.Wire.Quarantined { crashes; reason; _ };
-                             _ }) ->
-                      if id <> 0 then
-                        failf "hang: job %d quarantined after %d: %s" id
-                          crashes reason
-                      else if crashes <> max_crashes then
-                        failf
-                          "hang: quarantined after %d abandonment(s), want %d"
-                          crashes max_crashes
-                    | Ok
-                        (Serve.Wire.Job
-                           { state = Serve.Wire.Finished { failed; _ }; _ })
-                      ->
-                      if id = 0 then
-                        failf "hang: poison job finished normally"
-                      else (
-                        match failed with
-                        | Some m -> failf "hang: normal job failed: %s" m
-                        | None -> ())
-                    | Ok r ->
-                      if Unix.gettimeofday () < deadline then begin
-                        Unix.sleepf 0.05;
-                        poll id
-                      end
-                      else
-                        failf "hang: job %d never terminal (last: %s)" id
-                          (Serve.Wire.response_to_string r)
-                    | Error e -> failf "hang: STATUS %d: %s" id e
-                  in
-                  poll 0;
-                  poll 1;
-                  ignore
-                    (Serve.Client.request c Serve.Wire.Shutdown
-                      : (Serve.Wire.response, string) result)))));
+              (match Serve.Client.request c Serve.Wire.Health with
+              | Ok (Serve.Wire.Health { kills_term; _ }) ->
+                if kills_term < max_crashes - 1 then
+                  failf "hang: %d SIGTERM(s) before the last attempt, want %d"
+                    kills_term (max_crashes - 1)
+              | Ok r ->
+                failf "hang HEALTH: unexpected %s"
+                  (Serve.Wire.response_to_string r)
+              | Error e -> failf "hang HEALTH: %s" e);
+              Serve.Client.close c);
+            let workers = children !pid in
+            kill_server !pid;
+            (* a worker hung inside a case never reads its control
+               channel, so it cannot see its server die *)
+            List.iter
+              (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
+              workers;
+            pid := spawn ()
+          end;
+          match Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket with
+          | Error e -> failf "hang poll connect: %s" e
+          | Ok c ->
+            Fun.protect ~finally:(fun () -> Serve.Client.close c)
+              (fun () ->
+                let deadline = Unix.gettimeofday () +. 60.0 in
+                let rec poll id =
+                  match
+                    Serve.Client.request c (Serve.Wire.Status (Some id))
+                  with
+                  | Ok
+                      (Serve.Wire.Job
+                         { state =
+                             Serve.Wire.Quarantined { crashes; reason; _ };
+                           _ }) ->
+                    if id <> 0 then
+                      failf "hang: job %d quarantined after %d: %s" id
+                        crashes reason
+                    else if crashes <> max_crashes then
+                      failf "hang: quarantined after %d crash(es), want %d"
+                        crashes max_crashes
+                    else if not (contains reason "crashed the server") then
+                      failf "hang: quarantined with %S, want the restarted \
+                             server's startup scrub"
+                        reason
+                  | Ok
+                      (Serve.Wire.Job
+                         { state = Serve.Wire.Finished { failed; _ }; _ })
+                    ->
+                    if id = 0 then
+                      failf "hang: poison job finished normally"
+                    else (
+                      match failed with
+                      | Some m -> failf "hang: normal job failed: %s" m
+                      | None -> ())
+                  | Ok r ->
+                    if Unix.gettimeofday () < deadline then begin
+                      Unix.sleepf 0.05;
+                      poll id
+                    end
+                    else
+                      failf "hang: job %d never terminal (last: %s)" id
+                        (Serve.Wire.response_to_string r)
+                  | Error e -> failf "hang: STATUS %d: %s" id e
+                in
+                poll 0;
+                poll 1;
+                ignore
+                  (Serve.Client.request c Serve.Wire.Shutdown
+                    : (Serve.Wire.response, string) result))));
   (* 4. worker-fault matrix: SIGSTOP, SIGKILL and OOM inside worker
      processes of a worker-pool server — the crash vectors only true
      preemption reclaims. A SIGSTOP'd worker must be forcibly killed
      within stall-timeout + grace and its slot respawned; every fault is
      crash-accounted into quarantine after exactly the (scaled-down)
-     budget; a clean job on the same server matches the in-process
-     reference byte for byte; and after DRAIN the server exits 0 with no
+     budget; a clean job on the same server matches the reference from
+     an untouched server byte for byte; and after DRAIN the server exits 0 with no
      worker process left behind. *)
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   let clean_cases = [ nth 1; nth 2 ] in
-  (* in-process reference bytes for the clean job *)
+  (* reference bytes for the clean job, from an untouched server *)
   let clean_ref =
     with_serve_dir (fun dir ->
         let socket = Filename.concat dir "sock" in
@@ -2209,14 +2245,14 @@ let chaos_serve () =
         Printf.sprintf "%s=stop,%s=kill,%s=oom" (nth 0) (nth 3) (nth 4)
       in
       let pid =
-        spawn_chaos ~socket ~state ~runners:1 ~poison_spec ~mode:"workers"
+        spawn_server ~socket ~state ~runners:1 ~poison_spec ~mode:"workers" ()
       in
       let reaped = ref false in
       Fun.protect ~finally:(fun () -> if not !reaped then kill_server pid)
         (fun () ->
-          (* 4a. clean job first: worker-mode execution must be
-             byte-identical to the in-process reference, and HEALTH must
-             say so about the pool *)
+          (* 4a. clean job first: it must be byte-identical to the
+             reference despite the armed poison plan, and HEALTH must
+             report the worker pool *)
           let health_pids = ref [] in
           (match
              Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
@@ -2257,8 +2293,8 @@ let chaos_serve () =
            | Some a, Some b when String.equal a b -> ()
            | Some _, Some _ ->
              failf
-               "worker-matrix: clean job results differ between worker and \
-                in-process modes"
+               "worker-matrix: clean job results differ from the untouched \
+                server's"
            | Some _, None -> failf "worker-matrix: clean job results missing"
            | None, _ -> ());
           (* 4b. the matrix itself *)
@@ -2292,7 +2328,7 @@ let chaos_serve () =
                   | Serve.Chaos.Wf_stop | Serve.Chaos.Wf_kill -> "signal 9"
                   | Serve.Chaos.Wf_oom -> "exit 137"
                 in
-                if not (contains ~needle:expect s.Serve.Chaos.w_reason) then
+                if not (contains s.Serve.Chaos.w_reason expect) then
                   failf "worker-matrix %s: reason %S lacks %S" label
                     s.Serve.Chaos.w_reason expect;
                 (* the SIGSTOP rung is the bound the ladder guarantees:
@@ -2336,12 +2372,7 @@ let chaos_serve () =
             failf "worker-matrix: drained server exited abnormally"
           | None -> failf "worker-matrix: drained server never exited");
           let leaked =
-            List.filter
-              (fun p ->
-                match Unix.kill p 0 with
-                | () -> true
-                | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-                | exception Unix.Unix_error _ -> true)
+            List.filter pid_alive
               (List.sort_uniq compare (!health_pids @ outcome.Serve.Chaos.w_pids))
           in
           if leaked <> [] then
@@ -2364,22 +2395,38 @@ let chaos_serve () =
      drain exited clean, fsck clean\n"
     12 max_crashes chaos_worker_max_crashes
 
-(* -- serve-bench (BENCH_serve.json, committed) -------------------------- *)
-
 (* -- procpool smoke (runtest gate) ------------------------------------- *)
 
-(* The byte-exactness contract of the worker pool: the same jobs, run once
-   through worker processes and once through in-process domains, must
-   produce byte-identical durable results files. Workers execute the same
-   Exec.Checkpoint campaigns against the same per-job journal layout, so
-   any divergence is a real bug in the dispatch/stream/persist path, not
-   noise. *)
+(* The byte-exactness contract of the worker pool: the same seeded jobs,
+   run through a server's worker processes and serially in this process
+   (untimed, one domain, rendered by the emitter the results files use),
+   must produce byte-identical results. Workers execute the same Exec
+   campaigns against per-job journals, so any divergence is a real bug in
+   the dispatch/stream/persist path, not noise. *)
+let serial_results ~backend ~(opts : Exec.Campaign_opts.t) names =
+  match Exec.Campaign_opts.runner opts ~backend with
+  | Error e -> Error e
+  | Ok runner ->
+    let cases = List.filter_map Dataset.Corpus.find names in
+    let reports, _ =
+      Exec.Scheduler.run_seeded ~domains:1 runner
+        ~seeds:opts.Exec.Campaign_opts.seeds cases
+    in
+    let path = Filename.temp_file "rustbrain-serial" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Rb_util.Fsfile.remove_if_exists path)
+      (fun () ->
+        Rb_util.Fsfile.write_channel path (fun oc ->
+            Rustbrain.Report.emit_jsonl oc (List.to_seq reports));
+        Option.to_result ~none:"serial results unreadable"
+          (Rb_util.Fsfile.read path))
+
 (* One job attempt through a bare worker process, dispatched the way the
    server does it: Hello, Job, then frames until Job_done. [Ok (cases,
    replayed)] from the Job_done frame. *)
 let worker_attempt (spec : Serve.Procpool.job_spec) =
   match
-    Serve.Procpool.spawn ~argv:(Option.get (worker_argv_of_pool "workers")) ()
+    Serve.Procpool.spawn ~argv:(worker_argv ()) ()
   with
   | Error e -> Error ("spawn: " ^ e)
   | Ok w ->
@@ -2487,7 +2534,7 @@ let handoff_check ~state ids =
   List.rev !problems
 
 let procpool_smoke () =
-  section "Procpool smoke — worker-pool and in-process results byte-identical";
+  section "Procpool smoke — worker-pool results byte-identical to a serial run";
   let failures = ref 0 in
   let failf fmt =
     Printf.ksprintf
@@ -2505,11 +2552,23 @@ let procpool_smoke () =
     [ List.filteri (fun i _ -> i < half) names;
       List.filteri (fun i _ -> i >= half) names ]
   in
-  let run_mode ?(inspect = fun _ -> ()) pool =
+  let reference =
+    List.mapi
+      (fun i cases ->
+        match
+          serial_results ~backend:"rustbrain" ~opts:serve_smoke_opts cases
+        with
+        | Ok bytes -> Some bytes
+        | Error e ->
+          failf "job %d: serial reference: %s" i e;
+          None)
+      jobs
+  in
+  let workers =
     with_serve_dir (fun dir ->
         let socket = Filename.concat dir "sock" in
         let state = Filename.concat dir "state" in
-        let pid = spawn_server ~pool ~socket ~state ~runners:2 () in
+        let pid = spawn_server ~socket ~state ~runners:2 () in
         let results =
           Fun.protect ~finally:(fun () -> kill_server pid)
             (fun () ->
@@ -2517,7 +2576,7 @@ let procpool_smoke () =
                 Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
               with
               | Error e ->
-                failf "%s connect: %s" pool e;
+                failf "connect: %s" e;
                 []
               | Ok c ->
                 Fun.protect ~finally:(fun () -> Serve.Client.close c)
@@ -2531,16 +2590,16 @@ let procpool_smoke () =
                               ~opts:(Some serve_smoke_opts)
                           with
                           | Error e ->
-                            failf "%s job %d: %s" pool i e;
+                            failf "job %d: %s" i e;
                             None
                           | Ok ((_, _, failed), frames) ->
                             (match failed with
-                            | Some m -> failf "%s job %d failed: %s" pool i m
+                            | Some m -> failf "job %d failed: %s" i m
                             | None -> ());
                             let want = List.length cases * 2 in
                             if List.length frames <> want then
-                              failf "%s job %d: %d CASE frame(s), want %d" pool
-                                i (List.length frames) want;
+                              failf "job %d: %d CASE frame(s), want %d" i
+                                (List.length frames) want;
                             let store =
                               Serve.Store.open_dir ~scrub:false ~dir:state ()
                             in
@@ -2549,106 +2608,132 @@ let procpool_smoke () =
                         jobs
                     in
                     (match Serve.Client.request c Serve.Wire.Health with
-                    | Ok (Serve.Wire.Health { pool = got; worker_pids; _ }) ->
-                      if String.equal pool "workers" && worker_pids = [] then
-                        failf "workers HEALTH: no worker pids";
-                      if not (String.equal got pool) then
-                        failf "HEALTH pool: %s, want %s" got pool
+                    | Ok (Serve.Wire.Health { pool; worker_pids; _ }) ->
+                      if worker_pids = [] then failf "HEALTH: no worker pids";
+                      if not (String.equal pool "workers") then
+                        failf "HEALTH pool: %s, want workers" pool
                     | Ok r ->
-                      failf "%s HEALTH: unexpected %s" pool
+                      failf "HEALTH: unexpected %s"
                         (Serve.Wire.response_to_string r)
-                    | Error e -> failf "%s HEALTH: %s" pool e);
+                    | Error e -> failf "HEALTH: %s" e);
                     ignore
                       (Serve.Client.request c Serve.Wire.Shutdown
                         : (Serve.Wire.response, string) result);
                     results))
         in
-        inspect state;
+        List.iter (failf "%s")
+          (handoff_check ~state (List.mapi (fun i _ -> i) jobs));
         results)
   in
-  let inproc = run_mode "in-process" in
-  let workers =
-    run_mode "workers"
-      ~inspect:(fun state ->
-        List.iter (failf "%s") (handoff_check ~state (List.mapi (fun i _ -> i) jobs)))
-  in
-  List.iteri
-    (fun i (a, b) ->
-      match (a, b) with
-      | Some a, Some b when String.equal a b -> ()
-      | Some _, Some _ ->
-        failf "job %d: results differ between in-process and worker modes" i
-      | None, _ | _, None -> failf "job %d: results missing" i)
-    (List.combine inproc workers);
+  (if List.length workers = List.length jobs then
+     List.iteri
+       (fun i (a, b) ->
+         match (a, b) with
+         | Some a, Some b when String.equal a b -> ()
+         | Some _, Some _ ->
+           failf "job %d: worker results differ from the serial run" i
+         | None, _ | _, None -> failf "job %d: results missing" i)
+       (List.combine reference workers));
+  (* A server whose workers cannot exec must not run jobs any other way:
+     HEALTH reports the worker pool with every slot down, an admitted job
+     stays durable and queued, and SHUTDOWN still exits 0 with no child
+     left behind. *)
+  with_serve_dir (fun dir ->
+      let socket = Filename.concat dir "sock" in
+      let state = Filename.concat dir "state" in
+      let runners = 2 in
+      let pid = spawn_server ~mode:"noexec" ~socket ~state ~runners () in
+      let seen = ref [] in
+      let note pids = seen := List.sort_uniq compare (pids @ !seen) in
+      let exited = ref false in
+      Fun.protect ~finally:(fun () -> if not !exited then kill_server pid)
+        (fun () ->
+          (match
+             Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
+           with
+          | Error e -> failf "noexec connect: %s" e
+          | Ok c ->
+            Fun.protect ~finally:(fun () -> Serve.Client.close c)
+              (fun () ->
+                (* a slot reads "starting" for the instant between fork
+                   and the failed exec, so poll until every one is down *)
+                let deadline = Unix.gettimeofday () +. 10.0 in
+                let rec all_down () =
+                  note (children pid);
+                  match Serve.Client.request c Serve.Wire.Health with
+                  | Ok (Serve.Wire.Health { pool; slots; worker_pids; _ }) ->
+                    note worker_pids;
+                    let states = List.map snd slots in
+                    if not (String.equal pool "workers") then
+                      failf "noexec HEALTH pool: %s, want workers" pool
+                    else if
+                      List.length states = runners
+                      && List.for_all (String.equal "down") states
+                    then ()
+                    else if Unix.gettimeofday () > deadline then
+                      failf "noexec HEALTH: slots [%s], want every one down"
+                        (String.concat "; " states)
+                    else begin
+                      Unix.sleepf 0.01;
+                      all_down ()
+                    end
+                  | Ok r ->
+                    failf "noexec HEALTH: unexpected %s"
+                      (Serve.Wire.response_to_string r)
+                  | Error e -> failf "noexec HEALTH: %s" e
+                in
+                all_down ();
+                (match
+                   Serve.Client.request c
+                     (Serve.Wire.Submit
+                        { tenant = "procpool"; backend = "rustbrain";
+                          cases = Some [ List.hd names ];
+                          opts = Some serve_smoke_opts })
+                 with
+                | Ok (Serve.Wire.Accepted { id; _ }) -> (
+                  (* long enough for a one-case job to finish on any pool *)
+                  Unix.sleepf 1.0;
+                  note (children pid);
+                  (match Serve.Client.request c (Serve.Wire.Status (Some id)) with
+                  | Ok (Serve.Wire.Job { state = Serve.Wire.Queued _; _ }) -> ()
+                  | Ok r ->
+                    failf "noexec: job %d is %s, want queued" id
+                      (Serve.Wire.response_to_string r)
+                  | Error e -> failf "noexec STATUS: %s" e);
+                  let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
+                  match Serve.Store.pending store with
+                  | [ s ] when s.Serve.Store.id = id -> ()
+                  | l ->
+                    failf "noexec: %d durable pending job(s), want job %d alone"
+                      (List.length l) id)
+                | Ok r ->
+                  failf "noexec submit: unexpected %s"
+                    (Serve.Wire.response_to_string r)
+                | Error e -> failf "noexec submit: %s" e);
+                match Serve.Client.request c Serve.Wire.Shutdown with
+                | Ok (Serve.Wire.Shutting_down _) -> ()
+                | Ok r ->
+                  failf "noexec SHUTDOWN: unexpected %s"
+                    (Serve.Wire.response_to_string r)
+                | Error e -> failf "noexec SHUTDOWN: %s" e));
+          (match wait_status ~timeout_s:30.0 pid with
+          | Some (Unix.WEXITED 0) -> exited := true
+          | Some _ ->
+            exited := true;
+            failf "noexec: server did not exit 0 after SHUTDOWN"
+          | None -> failf "noexec: server never exited after SHUTDOWN");
+          match List.filter pid_alive (pid :: !seen) with
+          | [] -> ()
+          | left ->
+            failf "noexec: process(es) left after SHUTDOWN: %s"
+              (String.concat ", " (List.map string_of_int left))));
   if !failures > 0 then exit 1;
   Printf.printf
     "procpool smoke ok: %d job(s) (%d cases x %d seeds) byte-identical \
-     between worker and in-process pools; workers replay under the \
-     handed-off code version and recompute under a bogus one\n"
+     between worker processes and a serial run; workers replay under the \
+     handed-off code version and recompute under a bogus one; a server \
+     whose workers cannot exec keeps every slot down and its job queued\n"
     (List.length jobs) (List.length names) 2
-
-let serve_bench_file = "BENCH_serve.json"
-
-let serve_bench () =
-  section "Serve load — sustained multi-tenant throughput over the socket";
-  let run_mode pool =
-    with_serve_dir (fun dir ->
-        let socket = Filename.concat dir "sock" in
-        let state = Filename.concat dir "state" in
-        let runners = 4 in
-        let pid = spawn_server ~pool ~socket ~state ~runners () in
-        Fun.protect ~finally:(fun () -> kill_server pid)
-          (fun () ->
-            let cfg =
-              { Serve.Load.default_config with
-                Serve.Load.socket; tenants = 4; jobs_per_tenant = 8;
-                cases_per_job = 3 }
-            in
-            let o = Serve.Load.run cfg in
-            (match Serve.Client.connect ~retries:1 socket with
-            | Ok c ->
-              ignore
-                (Serve.Client.request c Serve.Wire.Shutdown
-                  : (Serve.Wire.response, string) result);
-              Serve.Client.close c
-            | Error _ -> ());
-            wait_exit pid;
-            if o.Serve.Load.errors > 0 then begin
-              Printf.eprintf "serve bench (%s): %d error(s)\n" pool
-                o.Serve.Load.errors;
-              exit 1
-            end;
-            Printf.printf
-              "%-10s %d/%d jobs (%d cases) in %.2fs — %.2f jobs/s, %.1f \
-               cases/s, busy %d\n"
-              pool o.Serve.Load.completed o.Serve.Load.submitted
-              o.Serve.Load.cases_done o.Serve.Load.wall_s
-              o.Serve.Load.jobs_per_s o.Serve.Load.cases_per_s
-              o.Serve.Load.busy;
-            (runners, cfg, o)))
-  in
-  let runners, cfg, inproc = run_mode "in-process" in
-  let _, _, workers = run_mode "workers" in
-  let json =
-    Rb_util.Json.to_string
-      (Rb_util.Json.Obj
-         [ ( "config",
-             Rb_util.Json.Obj
-               [ ("runners", Rb_util.Json.Num (float_of_int runners));
-                 ("tenants",
-                  Rb_util.Json.Num (float_of_int cfg.Serve.Load.tenants));
-                 ("jobs_per_tenant",
-                  Rb_util.Json.Num
-                    (float_of_int cfg.Serve.Load.jobs_per_tenant));
-                 ("cases_per_job",
-                  Rb_util.Json.Num
-                    (float_of_int cfg.Serve.Load.cases_per_job));
-                 ("backend", Rb_util.Json.Str cfg.Serve.Load.backend) ]);
-           ("outcome", Serve.Load.outcome_to_json inproc);
-           ("outcome_workers", Serve.Load.outcome_to_json workers) ])
-  in
-  Rb_util.Fsfile.write_atomic serve_bench_file (json ^ "\n");
-  Printf.printf "-> %s\n" serve_bench_file
 
 (* -- knn: retrieval-kernel latency (BENCH_knn.json) -------------------- *)
 
@@ -3003,16 +3088,14 @@ let experiments =
     ("bytecode-smoke", bytecode_smoke);
     ("trace-smoke", trace_smoke); ("obs-overhead", obs_overhead);
     ("serve-smoke", serve_smoke); ("chaos-serve", chaos_serve);
-    ("procpool-smoke", procpool_smoke); ("serve-bench", serve_bench);
+    ("procpool-smoke", procpool_smoke);
     ("knn", knn); ("kb-smoke", kb_smoke) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
-  | [ "serve-child"; socket; state; runners; pool ] ->
-    serve_child ~socket ~state ~runners:(int_of_string runners) ~pool
-  | [ "chaos-child"; socket; state; runners; poison_spec; mode ] ->
-    chaos_child ~socket ~state ~runners:(int_of_string runners) ~poison_spec
+  | [ "serve-child"; socket; state; runners; poison_spec; mode ] ->
+    serve_child ~socket ~state ~runners:(int_of_string runners) ~poison_spec
       ~mode
   | [ "worker-child" ] -> Serve.Procpool.worker_main ()
   | [ "kb-append-child"; dir ] -> (

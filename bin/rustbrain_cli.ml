@@ -812,9 +812,9 @@ let serve_cmd =
   let stall_timeout =
     Arg.(value & opt float 300.0 & info [ "stall-timeout" ] ~docv:"SECONDS"
            ~doc:"Watchdog: abort a running job that completes no case for \
-                 this long (cooperative at the next case boundary; a runner \
-                 hung inside a case is abandoned and the job requeued at \
-                 its journal frontier).")
+                 this long (cooperative at the next case boundary; a worker \
+                 hung inside a case is SIGTERMed, then SIGKILLed, and the \
+                 job requeued at its journal frontier).")
   in
   let job_timeout =
     Arg.(value & opt float 3600.0 & info [ "job-timeout" ] ~docv:"SECONDS"
@@ -827,20 +827,11 @@ let serve_cmd =
                  durable results file makes eviction safe: re-fetch with \
                  RESULTS.")
   in
-  let in_process =
-    Arg.(value & flag & info [ "in-process" ]
-           ~doc:"Run jobs on in-process runner domains instead of worker \
-                 processes. Cooperative aborts only: a runner hung inside a \
-                 case cannot be killed, only abandoned as a zombie. The \
-                 default worker pool gives the watchdog true preemption \
-                 (SIGTERM, then SIGKILL) and per-job OS resource caps.")
-  in
   let worker_mem_mb =
     Arg.(value & opt int 0 & info [ "worker-mem-mb" ] ~docv:"MIB"
            ~doc:"Address-space cap (RLIMIT_AS) per worker process, in MiB; \
                  a worker that exceeds it dies to the limit and the attempt \
-                 is crash-accounted. 0 (default) sets no cap. Ignored with \
-                 $(b,--in-process).")
+                 is crash-accounted. 0 (default) sets no cap.")
   in
   let kb_write =
     Arg.(value & flag & info [ "kb-write" ]
@@ -850,8 +841,7 @@ let serve_cmd =
                  this only where tenant jobs are serialized.")
   in
   let run socket state_dir runners max_queue quota weights max_crashes
-      stall_timeout job_timeout evict_idle in_process worker_mem_mb kb_write
-      opts =
+      stall_timeout job_timeout evict_idle worker_mem_mb kb_write opts =
     match
       match opts with
       | Error _ as e -> e
@@ -919,10 +909,7 @@ let serve_cmd =
             (* workers exec the image this server runs — the one its
                code version digests, even if the binary is rebuilt on
                disk mid-run *)
-            worker_argv =
-              (if in_process then None
-               else
-                 Some [| Exec.Checkpoint.running_image (); "__rb_worker" |]);
+            worker_argv = [| Exec.Checkpoint.running_image (); "__rb_worker" |];
             worker_mem_mb;
             rng_seed = Exec.Campaign_opts.seed opts;
             kb_dir = opts.Exec.Campaign_opts.kb_dir;
@@ -957,7 +944,7 @@ let serve_cmd =
              a SHUTDOWN frame or after a DRAIN wind-down.")
     Term.(const run $ socket_arg $ state_dir $ runners $ max_queue $ quota
           $ weights $ max_crashes $ stall_timeout $ job_timeout $ evict_idle
-          $ in_process $ worker_mem_mb $ kb_write $ opts_term)
+          $ worker_mem_mb $ kb_write $ opts_term)
 
 (* -- serve-fsck ----------------------------------------------------------- *)
 
@@ -1206,7 +1193,7 @@ let serve_ctl_cmd =
           1
         | Ok (Serve.Wire.Health { queued; running; quarantined; draining; slots;
                                   pool; worker_pids; respawns; kills_term;
-                                  kills_kill; zombies })
+                                  kills_kill })
           ->
           Printf.printf "health: queued %d, running %d, quarantined %d%s\n"
             queued running quarantined
@@ -1216,11 +1203,9 @@ let serve_ctl_cmd =
              else
                Printf.sprintf " (pids %s)"
                  (String.concat ", " (List.map string_of_int worker_pids)));
-          if respawns + kills_term + kills_kill + zombies > 0 then
-            Printf.printf
-              "supervision: %d respawned, %d SIGTERM, %d SIGKILL, %d zombie \
-               domain(s)\n"
-              respawns kills_term kills_kill zombies;
+          if respawns + kills_term + kills_kill > 0 then
+            Printf.printf "supervision: %d respawned, %d SIGTERM, %d SIGKILL\n"
+              respawns kills_term kills_kill;
           List.iter
             (fun (i, s) -> Printf.printf "  slot %d: %s\n" i s)
             slots;

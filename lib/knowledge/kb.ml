@@ -128,8 +128,8 @@ let with_registry f =
 
 (* Assumes [registry_mu] is held: every writer touch — open, seed, append,
    snapshot — happens under the one mutex, because Segment writers are not
-   themselves thread-safe and serve's in-process mode runs several runner
-   domains against the same store. A read-only entry is upgraded in place
+   themselves thread-safe and a domain-parallel campaign runs several
+   sessions against the same store. A read-only entry is upgraded in place
    (a writer is attached) when a writable open or a learn needs one; its
    frozen snapshot is never replaced. *)
 let locked_shared ~want_writer dir =

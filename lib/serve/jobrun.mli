@@ -1,18 +1,17 @@
-(** Job-execution core shared by both runner isolation modes.
+(** Job-execution core: one job attempt, as a worker OS process
+    ({!Procpool.worker_main}) runs it.
 
-    The in-process slot domain and the worker OS process ({!Procpool})
-    both run exactly this code against the same per-job journal
-    directory: resolve the backend, wrap each seeded scheduler job with
-    the case-boundary guard and the streaming observer, run under
-    {!Exec.Checkpoint} (resume at the journal frontier, recompute on a
-    fingerprint mismatch), and stitch the reports in seed-major order.
-    That sharing is what makes worker-mode and [--in-process] results
-    byte-identical — the procpool-smoke gate pins the property. *)
+    Resolve the backend, wrap each seeded scheduler job with the
+    case-boundary guard and the streaming observer, run under
+    {!Exec.Checkpoint} against the job's own journal directory (resume
+    at the journal frontier, recompute on a fingerprint mismatch), and
+    stitch the reports in seed-major order — the same reports, in the
+    same order, as a serial [Exec.Scheduler.run_seeded] of the job. The
+    procpool-smoke gate pins that byte-identity. *)
 
 (** Deterministic fault injection for the chaos harness: fires at every
-    case boundary inside the runner. The first three vectors exist in
-    both isolation modes; the last three are the worker-fault matrix —
-    in worker mode each kills only the worker process. *)
+    case boundary inside the worker. Each vector stays inside the worker
+    process; the last three make up the chaos worker-fault matrix. *)
 type poison_mode =
   | Poison_exit   (** [Unix._exit]: the runner process dies mid-case *)
   | Poison_hang   (** sleep forever: only the watchdog reclaims the slot *)

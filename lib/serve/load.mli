@@ -4,8 +4,8 @@
     connection and submitting jobs back to back; BUSY responses are
     honored by sleeping the server's advised retry-after and resubmitting,
     so a saturated server is exercised through its admission control
-    rather than around it. Produces the sustained jobs/sec and cases/sec
-    numbers committed in [BENCH_serve.json]. *)
+    rather than around it. Reports sustained jobs/sec and cases/sec
+    ([rustbrain_cli serve-load]). *)
 
 type config = {
   socket : string;

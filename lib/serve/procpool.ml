@@ -1,8 +1,8 @@
 (* Process-isolated runner pool. Each runner slot fork/execs a hidden
    worker subcommand of the server's own binary and speaks the wire
-   framing over a socketpair dup2'd onto the worker's stdin. Unlike the
-   in-process domain path, a wedged worker can always be reclaimed: the
-   escalation ladder ends in SIGKILL, which no userspace state can block.
+   framing over a socketpair dup2'd onto the worker's stdin. A wedged
+   worker can always be reclaimed: the escalation ladder ends in SIGKILL,
+   which no userspace state can block.
 
    One worker process runs one job attempt, then exits: rlimit budgets
    (RLIMIT_AS from --worker-mem-mb, RLIMIT_CPU from --job-timeout) are
@@ -378,9 +378,8 @@ let worker_main () =
     with Out_of_memory -> Error "out of memory"
   in
   (* durable results before Done — the supervisor marks the job complete
-     on the frame, exactly like the in-process path writes before its
-     finished flag. Same emit path as [Store.write_results], so the bytes
-     match the in-process mode line for line. *)
+     on the frame. Same emit path as [Store.write_results] and the
+     procpool-smoke serial reference, so the bytes match line for line. *)
   (match result with
   | Ok o ->
     Rb_util.Fsfile.write_channel spec.results_path (fun oc ->

@@ -4,9 +4,9 @@
     server's own binary and speaks the length-prefixed {!Wire} framing
     over a socketpair dup2'd onto the worker's stdin. One worker process
     runs one job attempt, then exits: rlimit budgets are per-attempt by
-    construction and no state bleeds between jobs. Unlike the in-process
-    domain path, a wedged worker can always be reclaimed — the watchdog
-    escalation ends in SIGKILL, which no userspace state can block.
+    construction and no state bleeds between jobs. A wedged worker can
+    always be reclaimed — the watchdog escalation ends in SIGKILL, which
+    no userspace state can block.
 
     Protocol, all frames JSON over {!Wire.encode} framing:
     - worker → server: [Hello {pid}] handshake, [Heartbeat] liveness,
@@ -81,7 +81,8 @@ val spawn :
 (** Fork/exec [argv] with the socketpair on its stdin. [mem_mb] > 0 caps
     RLIMIT_AS, [cpu_s] > 0 caps RLIMIT_CPU (both applied in the child
     before exec). [Error] is the fork/socketpair failure message — the
-    caller decides whether to back off or fall back in-process. *)
+    caller decides when to try again. An exec failure is not an [Error]:
+    the child exits 127 before its Hello. *)
 
 val send : worker -> to_worker -> bool
 (** Best-effort framed write, bounded at ~0.5s: control frames are tiny

@@ -110,8 +110,8 @@ val progress : t -> int -> int
 
     A tiny per-job WAL ([queue/attempts-NNNNNN.json]) holding two
     counters: attempts started and attempts cleanly ended. The
-    difference is the number of attempts that crashed — a runner domain
-    dying, a watchdog abandonment, or the whole server killed with the
+    difference is the number of attempts that crashed — a worker process
+    dying or killed by the watchdog, or the whole server killed with the
     job in flight — and it survives restarts because the record is read
     back by {!open_dir}. *)
 

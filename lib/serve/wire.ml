@@ -126,12 +126,11 @@ type response =
       quarantined : int;
       draining : bool;
       slots : (int * string) list;  (** slot index -> state label *)
-      pool : string;                (** "workers" | "in-process" *)
+      pool : string;                (** "workers"; "in-process" if absent *)
       worker_pids : int list;       (** live worker processes *)
       respawns : int;               (** workers respawned after a death *)
       kills_term : int;             (** watchdog SIGTERMs sent *)
       kills_kill : int;             (** watchdog SIGKILLs sent *)
-      zombies : int;                (** abandoned domains (in-process mode) *)
     }
   | Error_msg of string
 
@@ -280,7 +279,7 @@ let response_to_string = function
             ("queued", num queued) ]
       | Health
           { queued; running; quarantined; draining; slots; pool; worker_pids;
-            respawns; kills_term; kills_kill; zombies } ->
+            respawns; kills_term; kills_kill } ->
         Obj
           [ ("type", Str "health"); ("queued", num queued);
             ("running", num running); ("quarantined", num quarantined);
@@ -293,7 +292,7 @@ let response_to_string = function
             ("pool", Str pool);
             ("worker_pids", List (List.map num worker_pids));
             ("respawns", num respawns); ("kills_term", num kills_term);
-            ("kills_kill", num kills_kill); ("zombies", num zombies) ]
+            ("kills_kill", num kills_kill) ]
       | Error_msg msg -> Obj [ ("type", Str "error"); ("msg", Str msg) ])
 
 (* The encoders splice the report in as the frame's last member, after
@@ -467,7 +466,7 @@ let response_of_json ~payload json =
       (Health
          { queued; running; quarantined; draining; slots; pool; worker_pids;
            respawns = opt_int "respawns"; kills_term = opt_int "kills_term";
-           kills_kill = opt_int "kills_kill"; zombies = opt_int "zombies" })
+           kills_kill = opt_int "kills_kill" })
   | "error" ->
     let* msg = str "msg" in
     Ok (Error_msg msg)

@@ -200,11 +200,11 @@ let test_response_roundtrip () =
         { queued = 2; running = 1; quarantined = 1; draining = false;
           slots = [ (0, "running job 4 (pid 123)"); (1, "idle") ];
           pool = "workers"; worker_pids = [ 123; 456 ]; respawns = 2;
-          kills_term = 1; kills_kill = 1; zombies = 0 };
+          kills_term = 1; kills_kill = 1 };
       Wire.Health
         { queued = 0; running = 0; quarantined = 0; draining = true;
           slots = []; pool = "in-process"; worker_pids = []; respawns = 0;
-          kills_term = 0; kills_kill = 0; zombies = 1 };
+          kills_term = 0; kills_kill = 0 };
       Wire.Error_msg "bad frame length 0" ]
   in
   List.iter
