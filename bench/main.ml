@@ -1471,8 +1471,9 @@ let with_serve_dir f =
    argv mode, dispatched in the driver below) so the smoke gate can
    kill -9 a real server process mid-campaign — the crash the durable
    admission contract is written against, not a simulated one. The server
-   in turn re-execs this binary as "worker-child" processes, one per job
-   attempt. *)
+   in turn forks its worker processes, one per job attempt. A bare worker
+   for the procpool-smoke replays is this binary exec'd as
+   "worker-child". *)
 let worker_argv () = [| Exec.Checkpoint.running_image (); "worker-child" |]
 
 (* Chaos modes arm the poison plan: named cases kill their worker process
@@ -1480,13 +1481,14 @@ let worker_argv () = [| Exec.Checkpoint.running_image (); "worker-child" |]
    ("workers") — the crash vectors only preemption can reclaim. Everything
    else is the production configuration; only the watchdog clocks (and in
    workers mode the crash budget and memory cap) are scaled down so the
-   escalation ladder runs in test time. Mode "noexec" gives the server a
-   worker path that does not exist, so every worker it forks fails its
-   exec. *)
+   escalation ladder runs in test time. Mode "nostart" caps worker
+   address space below the server's own footprint, which every forked
+   worker inherits, so each one dies before its Hello. *)
 let chaos_worker_max_crashes = 2
 let chaos_worker_stall_s = 2.0
 let chaos_worker_grace_s = 0.4
 let chaos_worker_mem_mb = 512
+let nostart_worker_mem_mb = 4
 
 (* "case-a=stop,case-b=oom" -> a declarative poison plan; entries with
    unknown labels are dropped *)
@@ -1521,10 +1523,11 @@ let serve_child ~socket ~state ~runners ~poison_spec ~mode =
         (if workers then chaos_worker_max_crashes
          else Serve.Server.default_config.Serve.Server.max_crashes);
       poison = parse_poison_spec poison_spec;
-      worker_argv =
-        (if String.equal mode "noexec" then [| "/nonexistent/rustbrain-worker" |]
-         else worker_argv ());
-      worker_mem_mb = (if workers then chaos_worker_mem_mb else 0) }
+      worker_mem_mb =
+        (match mode with
+        | "workers" -> chaos_worker_mem_mb
+        | "nostart" -> nostart_worker_mem_mb
+        | _ -> 0) }
   in
   ignore (Serve.Server.run cfg : Serve.Server.summary)
 
@@ -1764,6 +1767,20 @@ let pid_alive pid =
   | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
   | exception Unix.Unix_error _ -> true
 
+(* Dead: gone, or a zombie its new parent has not reaped yet. *)
+let pid_dead pid =
+  (not (pid_alive pid))
+  ||
+  match open_in (Printf.sprintf "/proc/%d/stat" pid) with
+  | exception Sys_error _ -> false
+  | ic ->
+    let line = try input_line ic with End_of_file -> "" in
+    close_in_noerr ic;
+    (* "pid (comm) S ...": the state follows the last ')' *)
+    (match String.rindex_opt line ')' with
+    | Some i when i + 2 < String.length line -> line.[i + 2] = 'Z'
+    | _ -> false)
+
 (* Direct children of [pid], from /proc; [] where that is unavailable. *)
 let children pid =
   let path = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
@@ -1864,12 +1881,24 @@ let chaos_serve () =
         | Ok c ->
           Fun.protect ~finally:(fun () -> Serve.Client.close c)
             (fun () ->
+              (* the connection is subscribed to the jobs it already
+                 submitted, so their CASE/DONE frames may arrive ahead of
+                 the next SUBMIT's reply; they are not replies *)
+              let rec reply () =
+                match Serve.Client.recv c with
+                | Ok (Serve.Wire.Case { id; _ } | Serve.Wire.Done { id; _ })
+                  when id < List.length normal_jobs ->
+                  reply ()
+                | r -> r
+              in
               let submit i cases =
                 match
-                  Serve.Client.request c
-                    (Serve.Wire.Submit
-                       { tenant = "chaos"; backend = "rustbrain";
-                         cases = Some cases; opts = Some opts })
+                  Result.bind
+                    (Serve.Client.send c
+                       (Serve.Wire.Submit
+                          { tenant = "chaos"; backend = "rustbrain";
+                            cases = Some cases; opts = Some opts }))
+                    reply
                 with
                 | Ok (Serve.Wire.Accepted { id; _ }) when id = i -> true
                 | Ok r ->
@@ -2137,12 +2166,27 @@ let chaos_serve () =
               | Error e -> failf "hang HEALTH: %s" e);
               Serve.Client.close c);
             let workers = children !pid in
+            if workers = [] then
+              failf "hang: no worker under the server at its SIGKILL";
             kill_server !pid;
             (* a worker hung inside a case never reads its control
-               channel, so it cannot see its server die *)
-            List.iter
-              (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
-              workers;
+               channel; the parent-death signal must still take it down *)
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            let rec orphans_gone () =
+              match List.filter (fun p -> not (pid_dead p)) workers with
+              | [] -> ()
+              | left when Unix.gettimeofday () > deadline ->
+                failf "hang: worker(s) %s outlived the SIGKILLed server by 2s"
+                  (String.concat "," (List.map string_of_int left));
+                List.iter
+                  (fun p ->
+                    try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
+                  left
+              | _ ->
+                Unix.sleepf 0.01;
+                orphans_gone ()
+            in
+            orphans_gone ();
             pid := spawn ()
           end;
           match Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket with
@@ -2389,7 +2433,8 @@ let chaos_serve () =
   if !failures > 0 then exit 1;
   Printf.printf
     "chaos serve ok: %d seeded client faults survived, poison job \
-     quarantined after exactly %d crashes (exit and hang vectors), worker \
+     quarantined after exactly %d crashes (exit and hang vectors; the \
+     orphaned hung worker died with its server), worker \
      matrix (sigstop/sigkill/oom) reclaimed and quarantined after exactly \
      %d crashes with no leaked processes, normal jobs byte-identical, \
      drain exited clean, fsck clean\n"
@@ -2533,6 +2578,50 @@ let handoff_check ~state ids =
     ids;
   List.rev !problems
 
+(* What a forked worker must not keep from its server: any descriptor
+   beyond stdin (its control channel), stdout and stderr, or a caught
+   SIGCHLD, SIGTERM or SIGINT handler. [None] when it kept neither, or
+   when /proc cannot tell. A worker HEALTH lists may be microseconds past
+   its fork, before it has shed them, so a leak must persist for 2 s. *)
+let rec forked_worker_leak ?(deadline = Unix.gettimeofday () +. 2.0) pid =
+  let fds =
+    match Sys.readdir (Printf.sprintf "/proc/%d/fd" pid) with
+    | fds -> List.sort compare (List.filter_map int_of_string_opt (Array.to_list fds))
+    | exception Sys_error _ -> [ 0; 1; 2 ]
+  in
+  let caught =
+    match open_in (Printf.sprintf "/proc/%d/status" pid) with
+    | exception Sys_error _ -> 0L
+    | ic ->
+      let rec find () =
+        match input_line ic with
+        | l when String.length l > 7 && String.sub l 0 7 = "SigCgt:" ->
+          Int64.of_string ("0x" ^ String.trim (String.sub l 7 (String.length l - 7)))
+        | _ -> find ()
+        | exception End_of_file -> 0L
+      in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) find
+  in
+  let catches signo = Int64.logand caught (Int64.shift_left 1L (signo - 1)) <> 0L in
+  let leak =
+    if fds <> [ 0; 1; 2 ] then
+      Some
+        (Printf.sprintf "holds descriptors [%s], want [0; 1; 2]"
+           (String.concat "; " (List.map string_of_int fds)))
+    else
+      match List.filter catches [ 17; 15; 2 ] with
+      | [] -> None
+      | sigs ->
+        Some
+          (Printf.sprintf "catches signal(s) %s"
+             (String.concat "," (List.map string_of_int sigs)))
+  in
+  if leak = None || Unix.gettimeofday () > deadline then leak
+  else begin
+    Unix.sleepf 0.01;
+    forked_worker_leak ~deadline pid
+  end
+
 let procpool_smoke () =
   section "Procpool smoke — worker-pool results byte-identical to a serial run";
   let failures = ref 0 in
@@ -2611,7 +2700,13 @@ let procpool_smoke () =
                     | Ok (Serve.Wire.Health { pool; worker_pids; _ }) ->
                       if worker_pids = [] then failf "HEALTH: no worker pids";
                       if not (String.equal pool "workers") then
-                        failf "HEALTH pool: %s, want workers" pool
+                        failf "HEALTH pool: %s, want workers" pool;
+                      List.iter
+                        (fun pid ->
+                          match forked_worker_leak pid with
+                          | Some leak -> failf "worker %d: %s" pid leak
+                          | None -> ())
+                        worker_pids
                     | Ok r ->
                       failf "HEALTH: unexpected %s"
                         (Serve.Wire.response_to_string r)
@@ -2634,7 +2729,8 @@ let procpool_smoke () =
            failf "job %d: worker results differ from the serial run" i
          | None, _ | _, None -> failf "job %d: results missing" i)
        (List.combine reference workers));
-  (* A server whose workers cannot exec must not run jobs any other way:
+  (* A server whose workers cannot start (their address-space cap is below
+     the footprint they inherit) must not run jobs any other way:
      HEALTH reports the worker pool with every slot down, an admitted job
      stays durable and queued, and SHUTDOWN still exits 0 with no child
      left behind. *)
@@ -2642,7 +2738,7 @@ let procpool_smoke () =
       let socket = Filename.concat dir "sock" in
       let state = Filename.concat dir "state" in
       let runners = 2 in
-      let pid = spawn_server ~mode:"noexec" ~socket ~state ~runners () in
+      let pid = spawn_server ~mode:"nostart" ~socket ~state ~runners () in
       let seen = ref [] in
       let note pids = seen := List.sort_uniq compare (pids @ !seen) in
       let exited = ref false in
@@ -2651,12 +2747,12 @@ let procpool_smoke () =
           (match
              Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
            with
-          | Error e -> failf "noexec connect: %s" e
+          | Error e -> failf "nostart connect: %s" e
           | Ok c ->
             Fun.protect ~finally:(fun () -> Serve.Client.close c)
               (fun () ->
                 (* a slot reads "starting" for the instant between fork
-                   and the failed exec, so poll until every one is down *)
+                   and the child's death, so poll until every one is down *)
                 let deadline = Unix.gettimeofday () +. 10.0 in
                 let rec all_down () =
                   note (children pid);
@@ -2665,22 +2761,22 @@ let procpool_smoke () =
                     note worker_pids;
                     let states = List.map snd slots in
                     if not (String.equal pool "workers") then
-                      failf "noexec HEALTH pool: %s, want workers" pool
+                      failf "nostart HEALTH pool: %s, want workers" pool
                     else if
                       List.length states = runners
                       && List.for_all (String.equal "down") states
                     then ()
                     else if Unix.gettimeofday () > deadline then
-                      failf "noexec HEALTH: slots [%s], want every one down"
+                      failf "nostart HEALTH: slots [%s], want every one down"
                         (String.concat "; " states)
                     else begin
                       Unix.sleepf 0.01;
                       all_down ()
                     end
                   | Ok r ->
-                    failf "noexec HEALTH: unexpected %s"
+                    failf "nostart HEALTH: unexpected %s"
                       (Serve.Wire.response_to_string r)
-                  | Error e -> failf "noexec HEALTH: %s" e
+                  | Error e -> failf "nostart HEALTH: %s" e
                 in
                 all_down ();
                 (match
@@ -2697,42 +2793,42 @@ let procpool_smoke () =
                   (match Serve.Client.request c (Serve.Wire.Status (Some id)) with
                   | Ok (Serve.Wire.Job { state = Serve.Wire.Queued _; _ }) -> ()
                   | Ok r ->
-                    failf "noexec: job %d is %s, want queued" id
+                    failf "nostart: job %d is %s, want queued" id
                       (Serve.Wire.response_to_string r)
-                  | Error e -> failf "noexec STATUS: %s" e);
+                  | Error e -> failf "nostart STATUS: %s" e);
                   let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
                   match Serve.Store.pending store with
                   | [ s ] when s.Serve.Store.id = id -> ()
                   | l ->
-                    failf "noexec: %d durable pending job(s), want job %d alone"
+                    failf "nostart: %d durable pending job(s), want job %d alone"
                       (List.length l) id)
                 | Ok r ->
-                  failf "noexec submit: unexpected %s"
+                  failf "nostart submit: unexpected %s"
                     (Serve.Wire.response_to_string r)
-                | Error e -> failf "noexec submit: %s" e);
+                | Error e -> failf "nostart submit: %s" e);
                 match Serve.Client.request c Serve.Wire.Shutdown with
                 | Ok (Serve.Wire.Shutting_down _) -> ()
                 | Ok r ->
-                  failf "noexec SHUTDOWN: unexpected %s"
+                  failf "nostart SHUTDOWN: unexpected %s"
                     (Serve.Wire.response_to_string r)
-                | Error e -> failf "noexec SHUTDOWN: %s" e));
+                | Error e -> failf "nostart SHUTDOWN: %s" e));
           (match wait_status ~timeout_s:30.0 pid with
           | Some (Unix.WEXITED 0) -> exited := true
           | Some _ ->
             exited := true;
-            failf "noexec: server did not exit 0 after SHUTDOWN"
-          | None -> failf "noexec: server never exited after SHUTDOWN");
+            failf "nostart: server did not exit 0 after SHUTDOWN"
+          | None -> failf "nostart: server never exited after SHUTDOWN");
           match List.filter pid_alive (pid :: !seen) with
           | [] -> ()
           | left ->
-            failf "noexec: process(es) left after SHUTDOWN: %s"
+            failf "nostart: process(es) left after SHUTDOWN: %s"
               (String.concat ", " (List.map string_of_int left))));
   if !failures > 0 then exit 1;
   Printf.printf
     "procpool smoke ok: %d job(s) (%d cases x %d seeds) byte-identical \
      between worker processes and a serial run; workers replay under the \
      handed-off code version and recompute under a bogus one; a server \
-     whose workers cannot exec keeps every slot down and its job queued\n"
+     whose workers cannot start keeps every slot down and its job queued\n"
     (List.length jobs) (List.length names) 2
 
 (* -- knn: retrieval-kernel latency (BENCH_knn.json) -------------------- *)

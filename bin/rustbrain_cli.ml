@@ -199,6 +199,12 @@ let run_with_journal ?domains ?trace ?metrics ~journal jobs =
            "journal %s belongs to a different campaign or build\n\
            \  (manifest fingerprint %s, this run %s)\n\
             pass --fresh to discard it" dir found expected)
+    | exception Exec.Checkpoint.Format_1_journal dir ->
+      Error
+        (Printf.sprintf
+           "journal %s is journal format 1 (one file per record), which this \
+            build cannot read\n\
+            pass --fresh to discard it" dir)
     | exception Failure msg -> Error msg)
 
 (* -- check -------------------------------------------------------------- *)
@@ -831,7 +837,9 @@ let serve_cmd =
     Arg.(value & opt int 0 & info [ "worker-mem-mb" ] ~docv:"MIB"
            ~doc:"Address-space cap (RLIMIT_AS) per worker process, in MiB; \
                  a worker that exceeds it dies to the limit and the attempt \
-                 is crash-accounted. 0 (default) sets no cap.")
+                 is crash-accounted. Workers are forked from the server and \
+                 start with its address space, so a cap below that leaves \
+                 every slot down. 0 (default) sets no cap.")
   in
   let kb_write =
     Arg.(value & flag & info [ "kb-write" ]
@@ -906,10 +914,6 @@ let serve_cmd =
             max_queue; quota; weights; default_opts;
             max_crashes; stall_timeout_s = stall_timeout;
             job_timeout_s = job_timeout; evict_idle_s = evict_idle;
-            (* workers exec the image this server runs — the one its
-               code version digests, even if the binary is rebuilt on
-               disk mid-run *)
-            worker_argv = [| Exec.Checkpoint.running_image (); "__rb_worker" |];
             worker_mem_mb;
             rng_seed = Exec.Campaign_opts.seed opts;
             kb_dir = opts.Exec.Campaign_opts.kb_dir;
@@ -1401,9 +1405,11 @@ let trace_summary_cmd =
     Term.(const run $ file)
 
 let () =
-  (* hidden worker entry point: the server fork/execs its own binary with
-     this marker argv, speaking the procpool protocol on stdin — never a
-     user-facing subcommand, so it is dispatched before cmdliner runs *)
+  (* hidden worker entry point for the exec primitive: a tool that starts a
+     bare worker execs this binary with this marker argv, speaking the
+     procpool protocol on stdin (the server itself forks its workers
+     without exec) — never a user-facing subcommand, so it is dispatched
+     before cmdliner runs *)
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "__rb_worker" then
     Serve.Procpool.worker_main ();
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -1,6 +1,7 @@
 type mode = Fresh | Resume
 
 exception Fingerprint_mismatch of { expected : string; found : string }
+exception Format_1_journal of string
 
 type outcome = {
   results : Scheduler.result list;
@@ -18,7 +19,9 @@ type outcome = {
    Memoized under a mutex, not [lazy]: the serve runner slots call [run]
    from several domains at once, and concurrent [Lazy.force] of one shared
    suspension raises [CamlinternalLazy.Undefined] in every domain that
-   loses the race. *)
+   loses the race. The [unknown-binary] placeholder is never memoized: a
+   later call retries the digest, and a worker forked from a server whose
+   digest failed inherits no memo, so it digests its own image. *)
 let running_image () =
   if Sys.file_exists "/proc/self/exe" then "/proc/self/exe"
   else Sys.executable_name
@@ -32,13 +35,12 @@ let code_version () =
       match !code_version_memo with
       | Some v -> v
       | None ->
-        let v =
-          match Digest.file (running_image ()) with
-          | d -> Digest.to_hex d
-          | exception _ -> unknown_version
-        in
-        code_version_memo := Some v;
-        v)
+        match Digest.file (running_image ()) with
+        | d ->
+          let v = Digest.to_hex d in
+          code_version_memo := Some v;
+          v
+        | exception _ -> unknown_version)
 
 let adopt_code_version v =
   Mutex.protect code_version_mx (fun () -> code_version_memo := Some v)
@@ -152,6 +154,7 @@ let run ?domains ?cancel ?trace ?metrics ?kill_after ~dir ~mode
     match mode with
     | Fresh -> (Journal.create ~dir manifest, None)
     | Resume when not (Journal.exists ~dir) -> (Journal.create ~dir manifest, None)
+    | Resume when Journal.format_1 ~dir -> raise (Format_1_journal dir)
     | Resume -> (
       match Journal.load ~dir with
       | Error e -> failwith e

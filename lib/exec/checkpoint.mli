@@ -30,6 +30,11 @@ exception Fingerprint_mismatch of { expected : string; found : string }
 (** The journal on disk belongs to a different campaign (or a different
     build). [expected] is this run's fingerprint, [found] the manifest's. *)
 
+exception Format_1_journal of string
+(** [Resume] found a format-1 journal (one file per record) in this
+    directory. It is never read: the caller either refuses it or starts
+    {!Fresh}, which removes its files. *)
+
 type outcome = {
   results : Scheduler.result list;
       (** job order, replayed prefix stitched before recomputed reports *)
@@ -50,8 +55,9 @@ val unknown_version : string
 
 val code_version : unit -> string
 (** Hex MD5 of {!running_image}, computed once per process and memoized
-    ({!unknown_version} when the image is unreadable). The first component
-    of every {!fingerprint}. *)
+    ({!unknown_version} when the image is unreadable; that placeholder is
+    never memoized, so a later call, or a forked child, digests again).
+    The first component of every {!fingerprint}. *)
 
 val adopt_code_version : string -> unit
 (** Seed the {!code_version} memo with a version computed elsewhere — a
@@ -80,4 +86,5 @@ val run :
     with [Journal.Killed] (isolated per job by the scheduler — inspect
     [Scheduler.failures], discard the results, and {!run} again with
     [mode = Resume] to recover). Raises {!Fingerprint_mismatch} on a
-    foreign journal and [Failure] on an unreadable one. *)
+    foreign journal, {!Format_1_journal} on a format-1 one and [Failure]
+    on an unreadable one. *)

@@ -119,9 +119,13 @@ let execute ~backend ~case_names ~opts ~label ~journal_dir ~domains ~before
     in
     let outcome =
       try run Exec.Checkpoint.Resume
-      with Exec.Checkpoint.Fingerprint_mismatch _ ->
-        (* journal from another build or a changed corpus: recompute rather
-           than refuse — the accepted job must still finish *)
+      with
+      | Exec.Checkpoint.Fingerprint_mismatch _
+      | Exec.Checkpoint.Format_1_journal _
+      ->
+        (* journal from another build, a changed corpus or an older
+           journal format: recompute rather than refuse — the accepted job
+           must still finish *)
         run Exec.Checkpoint.Fresh
     in
     let reports =

@@ -4,7 +4,8 @@
     Resolve the backend, wrap each seeded scheduler job with the
     case-boundary guard and the streaming observer, run under
     {!Exec.Checkpoint} against the job's own journal directory (resume
-    at the journal frontier, recompute on a fingerprint mismatch), and
+    at the journal frontier, recompute on a fingerprint mismatch or a
+    format-1 journal), and
     stitch the reports in seed-major order — the same reports, in the
     same order, as a serial [Exec.Scheduler.run_seeded] of the job. The
     procpool-smoke gate pins that byte-identity. *)

@@ -1,8 +1,10 @@
-(* Process-isolated runner pool. Each runner slot fork/execs a hidden
-   worker subcommand of the server's own binary and speaks the wire
-   framing over a socketpair dup2'd onto the worker's stdin. A wedged
-   worker can always be reclaimed: the escalation ladder ends in SIGKILL,
-   which no userspace state can block.
+(* Process-isolated runner pool. Each runner slot forks the server
+   (already an initialized image of the same binary, so there is no exec
+   and no runtime start-up) and the child runs [worker_main], speaking the
+   wire framing over a socketpair dup2'd onto its stdin. [spawn] keeps the
+   fork/exec flavour for tools that start a bare worker from another
+   binary. A wedged worker can always be reclaimed: the escalation ladder
+   ends in SIGKILL, which no userspace state can block.
 
    One worker process runs one job attempt, then exits: rlimit budgets
    (RLIMIT_AS from --worker-mem-mb, RLIMIT_CPU from --job-timeout) are
@@ -13,6 +15,10 @@
 
 external set_mem_limit_mb : int -> bool = "rb_procpool_set_mem_limit_mb"
 external set_cpu_limit_s : int -> bool = "rb_procpool_set_cpu_limit_s"
+external set_parent_death_kill : unit -> bool
+  = "rb_procpool_set_parent_death_kill"
+external close_from : int -> unit = "rb_procpool_close_from"
+external mapped_mb : unit -> int = "rb_procpool_mapped_mb"
 
 (* -- protocol ----------------------------------------------------------- *)
 
@@ -31,7 +37,7 @@ type job_spec = {
      server-to-worker frame only *)
   kb_dir : string option;
   kb_readonly : bool;
-  (* the server's [Checkpoint.code_version] of the image the worker execs:
+  (* the server's [Checkpoint.code_version] of the image the worker runs:
      the worker adopts it instead of digesting the binary itself. Absent
      when the server could not digest, so each worker digests on its own. *)
   code_version : string option;
@@ -217,39 +223,53 @@ type worker = {
   mutable alive : bool;  (* flips false on EOF/IO error; reaped via SIGCHLD *)
 }
 
+(* The child's last step of set-up, in both flavours: SIGKILL on parent
+   death, then the race check — a parent that died before the prctl sent
+   nothing, and the child has been reparented already. *)
+let die_with_parent parent =
+  ignore (set_parent_death_kill ());
+  if Unix.getppid () <> parent then Unix._exit 0
+
+let apply_limits ~mem_mb ~cpu_s =
+  if mem_mb > 0 then ignore (set_mem_limit_mb mem_mb);
+  if cpu_s > 0 then ignore (set_cpu_limit_s cpu_s)
+
+(* Fork with a fresh socketpair; [child] runs in the child with its end
+   of the pair and must never return. *)
+let fork_with ~child =
+  match Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+    Error (Printf.sprintf "socketpair: %s" (Unix.error_message e))
+  | sup_end, child_end -> (
+    let parent = Unix.getpid () in
+    let failed why =
+      (try Unix.close sup_end with Unix.Unix_error _ -> ());
+      (try Unix.close child_end with Unix.Unix_error _ -> ());
+      Error ("fork: " ^ why)
+    in
+    match Unix.fork () with
+    | exception Unix.Unix_error (e, _, _) -> failed (Unix.error_message e)
+    | exception Failure why -> failed why (* OCaml 5: other domains running *)
+    | 0 ->
+      (try child ~parent child_end with _ -> ());
+      Unix._exit 127
+    | pid ->
+      (try Unix.close child_end with Unix.Unix_error _ -> ());
+      Unix.set_nonblock sup_end;
+      Ok { pid; fd = sup_end; dec = Wire.decoder (); alive = true })
+
 let spawn ~argv ?(mem_mb = 0) ?(cpu_s = 0) () =
   if Array.length argv = 0 then Error "procpool: empty worker argv"
   else
-    match
-      Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-    with
-    | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "socketpair: %s" (Unix.error_message e))
-    | sup_end, child_end -> (
-      match Unix.fork () with
-      | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close sup_end with Unix.Unix_error _ -> ());
-        (try Unix.close child_end with Unix.Unix_error _ -> ());
-        Error (Printf.sprintf "fork: %s" (Unix.error_message e))
-      | 0 ->
-        (* child: the socketpair becomes stdin — a bidirectional control
-           channel dup2 clears close-on-exec for. Rlimits go on before
-           exec so even a worker that fails to start is capped. *)
-        (try
-           (try Unix.close sup_end with Unix.Unix_error _ -> ());
-           if child_end <> Unix.stdin then begin
-             Unix.dup2 child_end Unix.stdin;
-             Unix.close child_end
-           end;
-           if mem_mb > 0 then ignore (set_mem_limit_mb mem_mb);
-           if cpu_s > 0 then ignore (set_cpu_limit_s cpu_s);
-           Unix.execv argv.(0) argv
-         with _ -> ());
-        Unix._exit 127
-      | pid ->
-        (try Unix.close child_end with Unix.Unix_error _ -> ());
-        Unix.set_nonblock sup_end;
-        Ok { pid; fd = sup_end; dec = Wire.decoder (); alive = true })
+    fork_with ~child:(fun ~parent child_end ->
+        (* the socketpair becomes stdin — a bidirectional control channel
+           dup2 clears close-on-exec for. Rlimits and the parent-death
+           signal go on before exec so even a worker that fails to start
+           is capped. *)
+        if child_end <> Unix.stdin then Unix.dup2 child_end Unix.stdin;
+        apply_limits ~mem_mb ~cpu_s;
+        die_with_parent parent;
+        Unix.execv argv.(0) argv)
 
 (* Best-effort framed write to a worker. Control frames are tiny and a
    healthy worker keeps its socket drained, so a short select-bounded
@@ -401,3 +421,35 @@ let worker_main () =
     send_frame
       (Job_done { cases = 0; passed = 0; failed = Some msg; replayed = 0 }));
   Unix._exit 0
+
+(* The server's path: fork without exec. The child is the server's image,
+   so before it runs [worker_main] it sheds everything that belongs to the
+   server — descriptors (listening socket, connections, other workers'
+   channels, trace file), signal handlers (the SIGCHLD self-pipe writer;
+   SIGTERM and SIGINT must kill, since the watchdog's SIGTERM rung relies
+   on it) — then takes its caps and the parent-death signal. Every path
+   ends in [Unix._exit]: no [at_exit] handler of the server (a trace
+   flush, say) ever runs in a child. Buffered output is flushed before the
+   fork so the child cannot print it a second time. *)
+let fork_worker ?(mem_mb = 0) ?(cpu_s = 0) () =
+  flush stdout;
+  flush stderr;
+  fork_with ~child:(fun ~parent child_end ->
+      Unix.dup2 ~cloexec:false child_end Unix.stdin;
+      close_from 3;
+      List.iter
+        (fun s -> Sys.set_signal s Sys.Signal_default)
+        [ Sys.sigchld; Sys.sigterm; Sys.sigint ];
+      apply_limits ~mem_mb ~cpu_s;
+      die_with_parent parent;
+      (* the child starts with the server's address space: under a cap
+         that is already exceeded its first mapping would fail mid-job,
+         so it cannot start at all *)
+      let mapped = mapped_mb () in
+      if mem_mb > 0 && mapped > mem_mb then begin
+        Printf.eprintf
+          "worker: %d MiB mapped at fork exceeds the %d MiB address-space cap\n%!"
+          mapped mem_mb;
+        Unix._exit 125
+      end;
+      worker_main ())

@@ -1,12 +1,25 @@
 (** Process-isolated runner pool: spawning, wire protocol and worker side.
 
-    Each runner slot fork/execs a hidden worker subcommand of the
-    server's own binary and speaks the length-prefixed {!Wire} framing
-    over a socketpair dup2'd onto the worker's stdin. One worker process
-    runs one job attempt, then exits: rlimit budgets are per-attempt by
-    construction and no state bleeds between jobs. A wedged worker can
-    always be reclaimed — the watchdog escalation ends in SIGKILL, which
-    no userspace state can block.
+    Each runner slot forks the server without exec ({!fork_worker}): the
+    server is already an initialized image of the same binary, so an
+    attempt pays neither exec nor runtime start-up. The child runs
+    {!worker_main} and speaks the length-prefixed {!Wire} framing over a
+    socketpair dup2'd onto its stdin. {!spawn} keeps the fork/exec
+    flavour for tools that start a bare worker of another binary (the
+    hidden [__rb_worker] subcommand). One worker process runs one job
+    attempt, then exits: rlimit budgets are per-attempt by construction
+    and no state bleeds between jobs. A wedged worker can always be
+    reclaimed — the watchdog escalation ends in SIGKILL, which no
+    userspace state can block — and every worker, of either flavour, gets
+    SIGKILL from the kernel when its parent dies (PR_SET_PDEATHSIG), so a
+    worker hung inside a case never outlives a killed server.
+
+    Fork-safety invariants of the server that forks: it runs one domain
+    and no other thread (OCaml 5's [Unix.fork] refuses otherwise), so it
+    spawns no domain or thread and opens no knowledge base; it flushes
+    stdout and stderr before each fork; and its
+    {!Exec.Checkpoint.code_version} memo, which children inherit, is
+    never the [unknown-binary] placeholder.
 
     Protocol, all frames JSON over {!Wire.encode} framing:
     - worker → server: [Hello {pid}] handshake, [Heartbeat] liveness,
@@ -35,7 +48,7 @@ type job_spec = {
   kb_readonly : bool;
   code_version : string option;
       (** the server's {!Exec.Checkpoint.code_version}, digested once per
-          server from the image every worker execs. The worker adopts it
+          server from the image every worker runs. The worker adopts it
           ({!Exec.Checkpoint.adopt_code_version}) before running the job,
           so journal fingerprints match without digesting the binary per
           attempt. [None] (the field left off the frame) makes the worker
@@ -75,14 +88,28 @@ type worker = {
           SIGCHLD + [waitpid] *)
 }
 
+val fork_worker : ?mem_mb:int -> ?cpu_s:int -> unit -> (worker, string) result
+(** Fork this process into a worker running {!worker_main}. The child,
+    in order: dup2s the socketpair onto stdin; closes every other
+    inherited descriptor above stderr; resets SIGCHLD, SIGTERM and SIGINT
+    to their defaults; applies the caps ([mem_mb] > 0 caps RLIMIT_AS,
+    [cpu_s] > 0 caps RLIMIT_CPU); arms SIGKILL on parent death and exits
+    if the parent is already gone. Every path in the child ends in
+    [Unix._exit], so no [at_exit] handler of the caller runs there. The
+    caller must be single-domain. [Error] is the fork/socketpair failure
+    message. A child that cannot start (a cap below the inherited
+    footprint, say) is not an [Error]: it exits before its Hello. *)
+
 val spawn :
   argv:string array -> ?mem_mb:int -> ?cpu_s:int -> unit ->
   (worker, string) result
-(** Fork/exec [argv] with the socketpair on its stdin. [mem_mb] > 0 caps
-    RLIMIT_AS, [cpu_s] > 0 caps RLIMIT_CPU (both applied in the child
-    before exec). [Error] is the fork/socketpair failure message — the
-    caller decides when to try again. An exec failure is not an [Error]:
-    the child exits 127 before its Hello. *)
+(** Fork/exec [argv] with the socketpair on its stdin — the exec
+    primitive, for tools that start a bare worker from another binary.
+    [mem_mb] and [cpu_s] as for {!fork_worker}; they and the parent-death
+    signal are applied in the child before exec. [Error] is the
+    fork/socketpair failure message — the caller decides when to try
+    again. An exec failure is not an [Error]: the child exits 127 before
+    its Hello. *)
 
 val send : worker -> to_worker -> bool
 (** Best-effort framed write, bounded at ~0.5s: control frames are tiny

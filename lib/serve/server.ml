@@ -27,7 +27,6 @@ type config = {
   out_limit : int;
   evict_idle_s : float;
   poison : (string * poison_mode) list;
-  worker_argv : string array;
   worker_mem_mb : int;
   rng_seed : int;
   kb_dir : string option;
@@ -53,7 +52,6 @@ let default_config =
     out_limit = 8 * 1024 * 1024;
     evict_idle_s = 30.0;
     poison = [];
-    worker_argv = [||];
     worker_mem_mb = 0;
     rng_seed = 0x5eed;
     kb_dir = None;
@@ -163,11 +161,13 @@ type t = {
   mutable kills_term : int;
   mutable kills_kill : int;
   code_version : string option Lazy.t;
-      (* the worker image's [Checkpoint.code_version], handed to every
-         worker in its Job frame so no attempt digests the binary again.
-         Forced at the first dispatch, never on the start-up path: the
-         digest takes about 20 ms, more than the rest of start-up. [None]
-         when the digest failed — the placeholder is never handed off. *)
+      (* this image's [Checkpoint.code_version], handed to every worker in
+         its Job frame so no attempt digests the binary again (workers
+         forked after the first dispatch also inherit the memo). Forced at
+         the first dispatch, never on the start-up path: the digest takes
+         about 20 ms, more than the rest of start-up. [None] when the
+         digest failed — the placeholder is never handed off, nor
+         memoized for a child to inherit. *)
   read_buf : Bytes.t;
       (* one read buffer for every socket: the loop is single-threaded
          and [Wire.feed] copies out of it before any frame is handled *)
@@ -598,9 +598,7 @@ let spawn_worker t wslot =
       int_of_float (Float.ceil t.cfg.job_timeout_s) + 5
     else 0
   in
-  match
-    Procpool.spawn ~argv:t.cfg.worker_argv ~mem_mb:t.cfg.worker_mem_mb ~cpu_s ()
-  with
+  match Procpool.fork_worker ~mem_mb:t.cfg.worker_mem_mb ~cpu_s () with
   | Ok w ->
     if wslot.failures > 0 then begin
       t.respawns <- t.respawns + 1;
@@ -768,7 +766,8 @@ let handle_worker_death t pid status =
                   else ""))
             ~backtrace:""
         | W_starting _ ->
-          (* died before Hello: exec failure (exit 127) or early crash *)
+          (* died before Hello: a cap below the inherited footprint, or
+             another early crash *)
           close_worker_fd w;
           trace_event t "serve-worker-died-early"
             [ ("pid", Obs.Trace.I pid);
@@ -1058,8 +1057,6 @@ let read_conn t conn =
 (* -- main loop ----------------------------------------------------------- *)
 
 let run ?(on_ready = fun (_ : string) -> ()) cfg =
-  if Array.length cfg.worker_argv = 0 then
-    invalid_arg "Serve.Server.run: worker_argv is empty";
   (* a dead client mid-write must be an EPIPE error, not a process kill *)
   let previous_sigpipe =
     match Sys.signal Sys.sigpipe Sys.Signal_ignore with

@@ -25,18 +25,26 @@
     SIGTERM (at half the grace) → SIGKILL (at the full grace). SIGKILL is
     unconditional: a SIGSTOP'd, hard-looping or OOM-thrashing worker is
     reclaimed within [stall_timeout_s + abandon_grace_s], always. Each
-    worker runs exactly one job attempt under optional OS resource caps
+    worker is forked from the server without exec ({!Procpool.fork_worker})
+    and runs exactly one job attempt under optional OS resource caps
     (RLIMIT_AS from [worker_mem_mb], RLIMIT_CPU from [job_timeout_s]),
     then exits; dead workers respawn under seeded-jitter exponential
-    backoff. A crashed or killed attempt requeues the job at its journal
+    backoff. A worker dies with its server (parent-death SIGKILL), even
+    one hung inside a case. A crashed or killed attempt requeues the job at its journal
     frontier; a job that spends its [max_crashes] budget — counted
     durably, across whole-server kills — is quarantined as poison with
     its journal preserved for triage.
 
-    A worker that cannot start (bad argv, exec failure, exhausted pids)
-    leaves its slot [down] in HEALTH, names the error on stderr and is
-    retried under the same backoff. Jobs never run outside a worker:
-    while no slot can start one, admitted jobs wait, durable and queued.
+    A worker that cannot start (fork failure, a [worker_mem_mb] cap below
+    the server's own footprint, exhausted pids) leaves its slot [down] in
+    HEALTH, names the error on stderr and is retried under the same
+    backoff. Jobs never run outside a worker: while no slot can start
+    one, admitted jobs wait, durable and queued.
+
+    Fork-safety invariant: the server process stays single-domain and
+    single-threaded (OCaml 5's [Unix.fork] raises otherwise). It spawns no
+    domain or thread and opens no knowledge base itself; only its forked
+    workers do.
 
     Admission control: a full queue or an over-quota tenant gets an
     explicit BUSY frame carrying a retry-after hint derived from an EWMA of
@@ -84,10 +92,10 @@ type config = {
   poison : (string * poison_mode) list;
       (** chaos plan, case name -> fault fired at its case boundary;
           declarative so it serializes into worker Job frames *)
-  worker_argv : string array;
-      (** worker-process command line (typically the server's own binary
-          with a hidden subcommand); required, {!run} refuses an empty one *)
-  worker_mem_mb : int;       (** RLIMIT_AS cap per worker, MiB; 0 = none *)
+  worker_mem_mb : int;
+      (** RLIMIT_AS cap per worker, MiB; 0 = none. A forked worker starts
+          with the server's address space, so a cap below it makes every
+          worker exit before its Hello. *)
   rng_seed : int;            (** seeds respawn-backoff jitter *)
   kb_dir : string option;
       (** root of the shared persistent knowledge store; each tenant gets
@@ -106,8 +114,8 @@ val default_config : config
 (** socket ["rustbrain.sock"], state dir ["serve-state"], 2 runners,
     queue bound 128, quota 64, 20ms tick; crash budget 3, 5min stall /
     1h job watchdog, 1s abandon grace, 8 MiB outbound bound, 30s
-    eviction; no poison, no worker argv (set one before {!run}), no
-    memory cap, seed [0x5eed], no trace/metrics. *)
+    eviction; no poison, no memory cap, seed [0x5eed], no
+    trace/metrics. *)
 
 type summary = {
   accepted : int;
@@ -134,5 +142,5 @@ val run : ?on_ready:(string -> unit) -> config -> summary
     path once it is bound and listening — the hook tests and the smoke
     gate use to know when to connect. Installs [SIGPIPE] ignore and
     [SIGCHLD] self-pipe handlers for the duration, restoring the previous
-    handlers on exit. Raises [Invalid_argument] if [worker_argv] is
-    empty. *)
+    handlers on exit. Must be called from a single-domain process: every
+    worker is forked from it. *)

@@ -244,11 +244,14 @@ let corrupt_dir root = Filename.concat (Filename.concat root "quarantined") "cor
 
 (* Move a bad record out of the scan path, keeping its bytes for triage.
    The destination name flattens the relative path so nothing collides. *)
+let set_aside_path ctx ~rel =
+  Filename.concat (corrupt_dir ctx.root)
+    (String.map (fun c -> if c = '/' then '-' else c) rel)
+
 let set_aside ctx ~rel path =
   if ctx.heal then begin
     Rb_util.Fsfile.mkdir_p (corrupt_dir ctx.root);
-    let flat = String.map (fun c -> if c = '/' then '-' else c) rel in
-    (match Sys.rename path (Filename.concat (corrupt_dir ctx.root) flat) with
+    (match Sys.rename path (set_aside_path ctx ~rel) with
     | () -> ()
     | exception Sys_error _ -> Rb_util.Fsfile.remove_if_exists path);
     Rb_util.Fsfile.fsync_dir (Filename.dirname path);
@@ -437,36 +440,47 @@ let fsck ?(heal = true) ~dir () =
         fsck_results ctx ~rel:(Filename.concat "results" f)
           (Filename.concat results_dir f))
     (list_dir results_dir);
-  (* 5. per-job journals: a garbage record segment or manifest would make
-     Journal.load refuse (or silently drop a valid tail), burning a crash
-     attempt on the next dispatch — set the bad segment aside so resume
-     recomputes from the surviving frontier instead *)
+  (* 5. per-job journals: an unreadable tail is cut off (its bytes kept
+     for triage) so resume recomputes past the surviving frontier; a log
+     whose manifest frame is unreadable is set aside whole, so the job
+     recomputes from scratch instead of burning a crash attempt on the
+     next dispatch. A format-1 journal is legacy: the job recomputes it. *)
   List.iter
     (fun j ->
       let jdir = Filename.concat jobs_dir j in
-      List.iter
-        (fun f ->
-          let is_rec =
-            String.length f > 4
-            && String.sub f 0 4 = "rec-"
-            && Filename.check_suffix f ".json"
+      let log = Exec.Journal.log_path jdir in
+      let rel = Filename.concat (Filename.concat "jobs" j) (Filename.basename log) in
+      if Exec.Journal.format_1 ~dir:jdir then begin
+        ctx.f_scanned <- ctx.f_scanned + 1;
+        ctx.f_legacy <- ctx.f_legacy + 1
+      end
+      else if Exec.Journal.exists ~dir:jdir then begin
+        ctx.f_scanned <- ctx.f_scanned + 1;
+        match Exec.Journal.records ~dir:jdir with
+        | Ok (_, 0) -> ctx.f_intact <- ctx.f_intact + 1
+        | Ok (records, dropped) ->
+          let action =
+            if ctx.heal then begin
+              Option.iter
+                (Rb_util.Fsfile.write_atomic (set_aside_path ctx ~rel ^ ".tail"))
+                (Exec.Journal.cut_tail ~dir:jdir);
+              "cut the tail, bytes kept in quarantined/corrupt/"
+            end
+            else "would cut the tail (dry run)"
           in
-          if is_rec || f = "MANIFEST.json" then begin
-            ctx.f_scanned <- ctx.f_scanned + 1;
-            let path = Filename.concat jdir f in
-            match Option.map Rb_util.Json.parse (Rb_util.Fsfile.read path) with
-            | Some (Ok _) -> ctx.f_intact <- ctx.f_intact + 1
-            | None -> ()
-            | Some (Error e) ->
-              let rel = Filename.concat (Filename.concat "jobs" j) f in
-              let action = set_aside ctx ~rel path in
-              ctx_issue ctx ~rel ~severity:`Healed
-                ~detail:
-                  (Printf.sprintf "garbage journal segment (%s); resume will \
-                                   recompute past this frontier" e)
-                ~action
-          end)
-        (list_dir jdir))
+          ctx_issue ctx ~rel ~severity:`Healed
+            ~detail:
+              (Printf.sprintf
+                 "%d unreadable journal frame(s) after %d record(s); resume \
+                  will recompute past this frontier"
+                 dropped (List.length records))
+            ~action
+        | Error e ->
+          let action = set_aside ctx ~rel log in
+          ctx_issue ctx ~rel ~severity:`Healed
+            ~detail:(Printf.sprintf "%s; the job will recompute" e)
+            ~action
+      end)
     (list_dir jobs_dir);
   (* 6. quarantine records themselves *)
   List.iter
@@ -631,22 +645,12 @@ let end_attempt t id =
    completed before dying — preserved in the quarantine record so triage
    starts with "it died right after X". *)
 let last_journaled_case t id =
-  let jdir = journal_dir t id in
-  let recs =
-    List.filter
-      (fun f ->
-        String.length f > 4
-        && String.sub f 0 4 = "rec-"
-        && Filename.check_suffix f ".json")
-      (list_dir jdir)
-  in
-  match List.rev recs with
-  | [] -> None
-  | last :: _ ->
-    Option.bind (Rb_util.Fsfile.read (Filename.concat jdir last)) (fun text ->
-        match Rb_util.Json.parse text with
-        | Error _ -> None
-        | Ok j -> Option.bind (Rb_util.Json.member "case" j) Rb_util.Json.to_str)
+  match Exec.Journal.records ~dir:(journal_dir t id) with
+  | Ok (records, _) -> (
+    match List.rev records with
+    | r :: _ -> Some r.Exec.Journal.case
+    | [] -> None)
+  | Error _ -> None
 
 let quarantine t id ~reason ~backtrace =
   let q =
@@ -680,17 +684,8 @@ let complete t id completion =
 let read_results t id = Rb_util.Fsfile.read (results_path t id)
 
 (* Journaled case-repairs for a running job — progress visible across a
-   kill because each record segment is its own durable file. *)
+   kill because each append is durable before the next case starts. *)
 let progress t id =
-  match Sys.readdir (journal_dir t id) with
-  | exception Sys_error _ -> 0
-  | files ->
-    Array.fold_left
-      (fun n f ->
-        if
-          String.length f > 4
-          && String.sub f 0 4 = "rec-"
-          && Filename.check_suffix f ".json"
-        then n + 1
-        else n)
-      0 files
+  match Exec.Journal.records ~dir:(journal_dir t id) with
+  | Ok (records, _) -> List.length records
+  | Error _ -> 0

@@ -103,8 +103,8 @@ val journal_dir : t -> int -> string
 (** Where this job's {!Exec.Checkpoint} write-ahead journal lives. *)
 
 val progress : t -> int -> int
-(** Journaled case-repairs so far (counts the job journal's record
-    segments) — live progress that survives a kill. *)
+(** Journaled case-repairs so far (the valid records of the job's
+    {!Exec.Journal}) — live progress that survives a kill. *)
 
 (** {2 Crash accounting}
 
@@ -152,8 +152,11 @@ val quarantined : t -> (int * quarantine_info) list
     - stale [.tmp.<pid>] files from interrupted atomic writes → removed
     - results JSONL with a torn trailing line → tail dropped; interior
       rot → whole file set aside
-    - garbage journal segment or manifest → set aside so resume
-      recomputes from the surviving frontier instead of refusing
+    - journal log with an unreadable tail → tail cut (bytes kept under
+      [quarantined/corrupt/]) so resume recomputes past the surviving
+      frontier; unreadable manifest frame → whole log set aside, the job
+      recomputes; a format-1 journal counts as legacy (the job
+      recomputes it)
     - conflicting done+cancelled markers → completion wins; orphan
       markers (no admission record) → set aside
 

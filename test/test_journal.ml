@@ -145,33 +145,41 @@ let test_journal_roundtrip () =
           (Some (1, "snap-b"))
           (List.assoc_opt "j1" l.Journal.snapshots))
 
+let log_path dir = Filename.concat dir "journal.log"
+
+let truncate_to path n =
+  let full = Option.get (Rb_util.Fsfile.read path) in
+  let oc = open_out_bin path in
+  output_string oc (String.sub full 0 n);
+  close_out oc
+
+let file_size path = String.length (Option.get (Rb_util.Fsfile.read path))
+
 let test_corrupt_tail_dropped () =
   with_dir (fun dir ->
       let j = Journal.create ~dir (manifest [ "j0" ] [ "a"; "b"; "c" ]) in
       Journal.append j (record ~job:"j0" ~case:"a" ()) ~snapshot:"s1";
       Journal.append j (record ~job:"j0" ~case:"b" ()) ~snapshot:"s2";
+      let two = file_size (log_path dir) in
       Journal.append j (record ~job:"j0" ~case:"c" ()) ~snapshot:"s3";
-      (* truncate the tail segment mid-record: a torn write *)
-      let tail = Filename.concat dir "rec-000002.json" in
-      let full = Option.get (Rb_util.Fsfile.read tail) in
-      let oc = open_out_bin tail in
-      output_string oc (String.sub full 0 (String.length full - 7));
-      close_out oc;
+      (* cut the tail frame mid-record: a torn write *)
+      truncate_to (log_path dir) (file_size (log_path dir) - 7);
       (match Journal.load ~dir with
       | Error e -> Alcotest.fail e
       | Ok l ->
         Alcotest.(check int) "valid prefix kept" 2 (List.length l.Journal.records);
         Alcotest.(check int) "tail dropped, not fatal" 1 l.Journal.dropped;
-        (* the snapshot now outruns the records; Checkpoint must see the
-           disagreement via the embedded count *)
-        Alcotest.(check (option (pair int string))) "snapshot count stale"
-          (Some (3, "s3"))
+        (* record and snapshot share a frame, so the torn frame takes
+           both: the surviving snapshot is the one of the last whole
+           frame, and its count agrees with the records *)
+        Alcotest.(check (option (pair int string))) "snapshot of the last whole frame"
+          (Some (2, "s2"))
           (List.assoc_opt "j0" l.Journal.snapshots));
       (* attach clears the corrupt tail and continues after the prefix *)
       match Journal.attach ~dir with
       | Error e -> Alcotest.fail e
       | Ok j2 ->
-        Alcotest.(check bool) "corrupt segment removed" false (Sys.file_exists tail);
+        Alcotest.(check int) "torn frame truncated" two (file_size (log_path dir));
         Journal.append j2 (record ~job:"j0" ~case:"c" ()) ~snapshot:"s3'";
         (match Journal.load ~dir with
         | Error e -> Alcotest.fail e
@@ -183,14 +191,19 @@ let test_corrupt_tail_dropped () =
             (Some (3, "s3'"))
             (List.assoc_opt "j0" l2.Journal.snapshots)))
 
+let flip_byte path i =
+  let b = Bytes.of_string (Option.get (Rb_util.Fsfile.read path)) in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  let oc = open_out_bin path in
+  output_bytes oc b;
+  close_out oc
+
 let test_corrupt_snapshot_omitted () =
   with_dir (fun dir ->
       let j = Journal.create ~dir (manifest [ "j0" ] [ "a" ]) in
       Journal.append j (record ~job:"j0" ~case:"a" ()) ~snapshot:"payload";
-      let snap = Filename.concat dir "snap-000.bin" in
-      let oc = open_out_bin snap in
-      output_string oc "RBSNAP1 1 0123456789abcdef0123456789abcdef\npayloaX";
-      close_out oc;
+      (* rot in the snapshot bytes: the last byte of the log *)
+      flip_byte (log_path dir) (file_size (log_path dir) - 1);
       match Journal.load ~dir with
       | Error e -> Alcotest.fail e
       | Ok l ->
@@ -315,14 +328,10 @@ let test_checkpoint_truncated_tail_recomputes () =
         Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Fresh
           (quick_jobs ())
       in
-      (* tear the last record: its job's snapshot now outruns the records,
-         so that job must be recomputed from scratch — and the final
-         reports must still be byte-identical *)
-      let tail = Filename.concat dir "rec-000003.json" in
-      let full = Option.get (Rb_util.Fsfile.read tail) in
-      let oc = open_out_bin tail in
-      output_string oc (String.sub full 0 (String.length full - 5));
-      close_out oc;
+      (* tear the last frame: its record and snapshot are both lost, so
+         that job resumes from its previous frame — and the final reports
+         must still be byte-identical *)
+      truncate_to (log_path dir) (file_size (log_path dir) - 5);
       let o =
         Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Resume
           (quick_jobs ())
@@ -389,6 +398,294 @@ let test_resume_under_other_version_refused () =
           Alcotest.(check int) "its own version replays it all" 0
             o.Exec.Checkpoint.recomputed))
 
+(* -- the log: every prefix, every flipped byte --------------------------- *)
+
+(* A 3-record log over two jobs, and the offset where each frame ends
+   (the manifest's first). *)
+let three_record_log dir =
+  let j = Journal.create ~dir (manifest [ "j0"; "j1" ] [ "a"; "b" ]) in
+  let ends = ref [ file_size (log_path dir) ] in
+  List.iter
+    (fun (job, case, snap) ->
+      Journal.append j (record ~job ~case ()) ~snapshot:snap;
+      ends := file_size (log_path dir) :: !ends)
+    [ ("j0", "a", "s1"); ("j1", "a", "s2"); ("j0", "b", "s3") ];
+  (Option.get (Rb_util.Fsfile.read (log_path dir)), List.rev !ends)
+
+let labels (l : Journal.loaded) =
+  List.map
+    (fun (r : Journal.record) -> r.Journal.job ^ "/" ^ r.Journal.case)
+    l.Journal.records
+
+let all_labels = [ "j0/a"; "j1/a"; "j0/b" ]
+let rec take n = function x :: r when n > 0 -> x :: take (n - 1) r | _ -> []
+
+let write_log dir bytes =
+  let oc = open_out_bin (log_path dir) in
+  output_string oc bytes;
+  close_out oc
+
+(* A crash can cut the log at any byte. For every length: load never
+   raises and returns exactly the whole frames, with each snapshot's
+   count equal to its job's surviving records; attach truncates to the
+   last whole frame and the next append lands cleanly after it. *)
+let test_every_prefix () =
+  with_dir (fun dir ->
+      let full, ends = three_record_log dir in
+      let manifest_end = List.hd ends in
+      for n = 0 to String.length full do
+        write_log dir (String.sub full 0 n);
+        let whole = List.length (List.filter (fun e -> e <= n) ends) - 1 in
+        match Journal.load ~dir with
+        | exception e ->
+          Alcotest.failf "load raised %s at length %d" (Printexc.to_string e) n
+        | Error _ ->
+          if n >= manifest_end then
+            Alcotest.failf "whole manifest refused at length %d" n
+        | Ok l -> (
+          if n < manifest_end then Alcotest.failf "torn manifest read at %d" n;
+          let want = take whole all_labels in
+          Alcotest.(check (list string))
+            (Printf.sprintf "whole frames at length %d" n)
+            want (labels l);
+          let boundary = List.nth ends whole in
+          Alcotest.(check int)
+            (Printf.sprintf "dropped at length %d" n)
+            (if n = boundary then 0 else 1)
+            l.Journal.dropped;
+          (match Journal.records ~dir with
+          | Ok (rs, dropped) ->
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "records agrees with load at length %d" n)
+              (List.length l.Journal.records, l.Journal.dropped)
+              (List.length rs, dropped)
+          | Error e -> Alcotest.failf "records at length %d: %s" n e);
+          List.iter
+            (fun (job, (count, _)) ->
+              let mine =
+                List.filter
+                  (fun s -> String.length s > 2 && String.sub s 0 2 = job)
+                  want
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s snapshot count at length %d" job n)
+                (List.length mine) count)
+            l.Journal.snapshots;
+          match Journal.attach ~dir with
+          | Error e -> Alcotest.failf "attach at length %d: %s" n e
+          | Ok j ->
+            Alcotest.(check int)
+              (Printf.sprintf "attach truncates to a boundary at length %d" n)
+              boundary
+              (file_size (log_path dir));
+            Journal.append j (record ~job:"j1" ~case:"b" ()) ~snapshot:"s4";
+            (match Journal.load ~dir with
+            | Error e -> Alcotest.failf "reload at length %d: %s" n e
+            | Ok l2 ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "append after attach at length %d" n)
+                (want @ [ "j1/b" ]) (labels l2);
+              Alcotest.(check int) "no tail after the append" 0
+                l2.Journal.dropped))
+      done)
+
+(* Rot anywhere in a frame's header or record ends the valid prefix at
+   that frame (a rotted manifest refuses the whole log); rot in a
+   snapshot omits that snapshot and keeps every record. *)
+let test_flipped_byte () =
+  with_dir (fun dir ->
+      let full, ends = three_record_log dir in
+      let starts = 0 :: List.filteri (fun i _ -> i < 3) ends in
+      let frames = List.combine starts ends in
+      let snap_len = 2 (* "s1", "s2", "s3" *) in
+      for pos = 0 to String.length full - 1 do
+        write_log dir full;
+        flip_byte (log_path dir) pos;
+        let k, (a, b) =
+          List.find (fun (_, (a, b)) -> a <= pos && pos < b)
+            (List.mapi (fun i f -> (i, f)) frames)
+        in
+        let in_snapshot =
+          (pos - a >= 20 && pos - a < 36) || (k > 0 && pos >= b - snap_len)
+        in
+        match Journal.load ~dir with
+        | exception e ->
+          Alcotest.failf "load raised %s at byte %d" (Printexc.to_string e) pos
+        | Error _ ->
+          if k > 0 || in_snapshot then
+            Alcotest.failf "byte %d (frame %d) refused the whole log" pos k
+        | Ok l ->
+          if k = 0 && not in_snapshot then
+            Alcotest.failf "rotted manifest byte %d accepted" pos;
+          if in_snapshot then begin
+            Alcotest.(check (list string))
+              (Printf.sprintf "snapshot rot at byte %d keeps records" pos)
+              all_labels (labels l);
+            (* only a job's latest frame supplies its snapshot *)
+            let latest_j0 = k = 3 and latest_j1 = k = 2 in
+            Alcotest.(check bool)
+              (Printf.sprintf "j0 snapshot at byte %d" pos)
+              (not latest_j0)
+              (List.mem_assoc "j0" l.Journal.snapshots);
+            Alcotest.(check bool)
+              (Printf.sprintf "j1 snapshot at byte %d" pos)
+              (not latest_j1)
+              (List.mem_assoc "j1" l.Journal.snapshots)
+          end
+          else begin
+            Alcotest.(check (list string))
+              (Printf.sprintf "prefix ends at frame %d (byte %d)" k pos)
+              (take (k - 1) all_labels) (labels l);
+            Alcotest.(check bool)
+              (Printf.sprintf "rest dropped (byte %d)" pos)
+              true (l.Journal.dropped >= 1)
+          end
+      done)
+
+(* The cost gate: counted, not timed. A journaled run pays one fsync and
+   no rename per case; creating the journal pays two fsyncs (the log and
+   its directory entry) and one rename. *)
+let test_cost_counters () =
+  let count reg name = Obs.Metrics.(counter_value (counter reg name)) in
+  with_dir (fun dir ->
+      let reg = Obs.Metrics.create () in
+      Obs.Metrics.with_registry reg (fun () ->
+          ignore (Journal.create ~dir (manifest [ "j0" ] [ "a" ]) : Journal.t));
+      Alcotest.(check (list int)) "create: fsyncs, renames, appends"
+        [ 2; 1; 0 ]
+        (List.map (count reg) [ "journal.fsyncs"; "journal.renames"; "journal.appends" ]));
+  with_dir (fun dir ->
+      let a, b = two_cases () in
+      let c =
+        match Dataset.Corpus.all with _ :: _ :: c :: _ -> c | _ -> assert false
+      in
+      let jobs =
+        Exec.Scheduler.seeded_jobs (Exec.Backends.human_expert ()) ~seeds:[ 1 ]
+          [ a; b; c ]
+      in
+      let reg = Obs.Metrics.create () in
+      let o =
+        Obs.Metrics.with_registry reg (fun () ->
+            Exec.Checkpoint.run ~domains:1 ~metrics:reg ~dir
+              ~mode:Exec.Checkpoint.Fresh jobs)
+      in
+      Alcotest.(check int) "three cases" 3 o.Exec.Checkpoint.recomputed;
+      Alcotest.(check (list int))
+        "3 appends: fsyncs = 2 (create) + 1 per append, renames = 1 (create)"
+        [ 3; 5; 1; 0 ]
+        (List.map (count reg)
+           [ "journal.appends"; "journal.fsyncs"; "journal.renames";
+             "journal.compactions" ]))
+
+(* Dead snapshots are bounded: past twice the live content plus 1 MiB the
+   log is rewritten with each job's latest snapshot only, and every record
+   survives, in order. *)
+let test_compaction_bounds_log () =
+  with_dir (fun dir ->
+      let j = Journal.create ~dir (manifest [ "j0"; "j1" ] [ "c" ]) in
+      let snap i = String.make 65536 (Char.chr (Char.code 'a' + (i mod 26))) in
+      let reg = Obs.Metrics.create () in
+      Obs.Metrics.with_registry reg (fun () ->
+          for i = 0 to 39 do
+            Journal.append j
+              (record ~job:(if i mod 2 = 0 then "j0" else "j1")
+                 ~case:(string_of_int i) ())
+              ~snapshot:(snap i)
+          done);
+      Alcotest.(check bool) "compacted" true
+        (Obs.Metrics.(counter_value (counter reg "journal.compactions")) > 0);
+      (* live: two 64 KiB snapshots plus 40 small records *)
+      Alcotest.(check bool) "bounded by 2 x live + 1 MiB + one frame" true
+        (file_size (log_path dir) < (2 * 3 * 65536) + (1 lsl 20) + 65536 + 4096);
+      let check_all () =
+        match Journal.load ~dir with
+        | Error e -> Alcotest.fail e
+        | Ok l ->
+          Alcotest.(check (list string)) "every record, in order"
+            (List.init 40 string_of_int)
+            (List.map (fun (r : Journal.record) -> r.Journal.case) l.Journal.records);
+          Alcotest.(check int) "clean" 0 l.Journal.dropped;
+          Alcotest.(check (option (pair int string))) "j0 latest snapshot"
+            (Some (20, snap 38)) (List.assoc_opt "j0" l.Journal.snapshots);
+          Alcotest.(check (option (pair int string))) "j1 latest snapshot"
+            (Some (20, snap 39)) (List.assoc_opt "j1" l.Journal.snapshots)
+      in
+      check_all ();
+      (* a compacted log attaches like any other *)
+      match Journal.attach ~dir with
+      | Error e -> Alcotest.fail e
+      | Ok _ -> check_all ())
+
+(* -- format 1: recognised, never misread -------------------------------- *)
+
+let format_1_dir dir files =
+  List.iter
+    (fun f -> Rb_util.Fsfile.write_atomic (Filename.concat dir f) "{}")
+    files
+
+let test_format_1_exists () =
+  List.iter
+    (fun files ->
+      with_dir (fun dir ->
+          format_1_dir dir files;
+          Alcotest.(check bool) "exists" true (Journal.exists ~dir);
+          Alcotest.(check bool) "format 1" true (Journal.format_1 ~dir);
+          let opts =
+            { Exec.Campaign_opts.default with Exec.Campaign_opts.journal = Some dir }
+          in
+          (match Exec.Campaign_opts.journal_mode opts with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "format-1 journal run without --resume/--fresh");
+          match
+            Exec.Campaign_opts.journal_mode
+              { opts with Exec.Campaign_opts.resume = true }
+          with
+          | Ok (Some (_, Exec.Checkpoint.Resume)) -> ()
+          | _ -> Alcotest.fail "--resume must be let through to the refusal"))
+    [ [ "MANIFEST.json" ]; [ "rec-000000.json" ];
+      [ "MANIFEST.json"; "rec-000000.json"; "snap-000.bin" ] ]
+
+let test_format_1_resume_refused () =
+  with_dir (fun dir ->
+      format_1_dir dir [ "MANIFEST.json"; "rec-000000.json"; "snap-000.bin" ];
+      (match Journal.load ~dir with
+      | Ok _ -> Alcotest.fail "format-1 journal loaded"
+      | Error e ->
+        Alcotest.(check bool) "names the format" true
+          (Helpers.contains e "journal format 1"));
+      (match Journal.attach ~dir with
+      | Ok _ -> Alcotest.fail "format-1 journal attached"
+      | Error _ -> ());
+      match
+        Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Resume
+          (quick_jobs ())
+      with
+      | _ -> Alcotest.fail "format-1 journal resumed"
+      | exception Exec.Checkpoint.Format_1_journal d ->
+        Alcotest.(check string) "names the directory" dir d)
+
+let test_format_1_fresh_wipes () =
+  with_dir (fun dir ->
+      let files = [ "MANIFEST.json"; "rec-000000.json"; "rec-000001.json"; "snap-000.bin" ] in
+      format_1_dir dir files;
+      Journal.wipe ~dir;
+      Alcotest.(check bool) "wipe removes format 1" false (Journal.exists ~dir);
+      format_1_dir dir files;
+      let o =
+        Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Fresh
+          (quick_jobs ())
+      in
+      Alcotest.(check int) "fresh run recomputes everything" 4
+        o.Exec.Checkpoint.recomputed;
+      Alcotest.(check (list string)) "only the log remains" [ "journal.log" ]
+        (Array.to_list (Sys.readdir dir));
+      let o2 =
+        Exec.Checkpoint.run ~domains:1 ~dir ~mode:Exec.Checkpoint.Resume
+          (quick_jobs ())
+      in
+      Alcotest.(check int) "and it resumes as format 2" 0
+        o2.Exec.Checkpoint.recomputed)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "of_json rejects garbage" `Quick test_of_json_rejects_garbage;
@@ -407,4 +704,17 @@ let suite =
     Alcotest.test_case "adopted code version feeds fingerprint" `Quick
       test_adopted_version_feeds_fingerprint;
     Alcotest.test_case "resume under another code version refused" `Quick
-      test_resume_under_other_version_refused ]
+      test_resume_under_other_version_refused;
+    Alcotest.test_case "every prefix length loads a clean prefix" `Quick
+      test_every_prefix;
+    Alcotest.test_case "flipped byte ends the prefix at its frame" `Quick
+      test_flipped_byte;
+    Alcotest.test_case "cost counters: one fsync, no rename per append" `Quick
+      test_cost_counters;
+    Alcotest.test_case "format 1 exists, refused without resume/fresh" `Quick
+      test_format_1_exists;
+    Alcotest.test_case "format 1 resume refused" `Quick
+      test_format_1_resume_refused;
+    Alcotest.test_case "format 1 fresh wipes" `Quick test_format_1_fresh_wipes;
+    Alcotest.test_case "compaction bounds the log" `Quick
+      test_compaction_bounds_log ]

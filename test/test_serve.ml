@@ -518,15 +518,29 @@ let test_store_results_complete () =
       | Some (Store.Done { cases = 2; passed = 1; failed = None }) -> ()
       | _ -> Alcotest.fail "completion lost across reopen")
 
+(* A job journal in [dir] holding one record per case, as a worker
+   writes it. *)
+let journal_cases dir cases =
+  let j =
+    Exec.Journal.create ~dir
+      { Exec.Journal.version = Exec.Journal.version; fingerprint = "fp-test";
+        jobs = [ "job" ]; cases }
+  in
+  List.iter
+    (fun case ->
+      Exec.Journal.append j
+        { Exec.Journal.job = "job"; backend = "b"; seed = 1; case;
+          cache_hits = 0; cache_misses = 0; report = mk_report ~name:case () }
+        ~snapshot:"session")
+    cases
+
 let test_store_progress () =
   with_dir (fun dir ->
       let store = Store.open_dir ~dir () in
       Alcotest.(check int) "no journal yet" 0 (Store.progress store 0);
-      (* progress counts the journal's record segments *)
+      (* progress counts the journal's records *)
       let jdir = Store.journal_dir store 0 in
-      Rb_util.Fsfile.mkdir_p jdir;
-      Rb_util.Fsfile.write_atomic (Filename.concat jdir "rec-000000.json") "{}";
-      Rb_util.Fsfile.write_atomic (Filename.concat jdir "rec-000001.json") "{}";
+      journal_cases jdir [ "c1"; "c2" ];
       Rb_util.Fsfile.write_atomic (Filename.concat jdir "manifest.json") "{}";
       Alcotest.(check int) "two journaled repairs" 2 (Store.progress store 0))
 
@@ -570,11 +584,7 @@ let test_store_quarantine () =
       in
       (* a journal frontier, so the quarantine record can say how far the
          job got before it went poison *)
-      let jdir = Store.journal_dir store s.id in
-      Rb_util.Fsfile.mkdir_p jdir;
-      Rb_util.Fsfile.write_atomic
-        (Filename.concat jdir "rec-000000.json")
-        "{\"case\":\"c1\"}";
+      journal_cases (Store.journal_dir store s.id) [ "c1" ];
       Store.begin_attempt store s.id;
       Store.begin_attempt store s.id;
       Store.begin_attempt store s.id;
@@ -656,13 +666,12 @@ let test_fsck_garbage_journal () =
           ~opts:Opts.default
       in
       let jdir = Store.journal_dir store s.id in
-      Rb_util.Fsfile.mkdir_p jdir;
-      Rb_util.Fsfile.write_atomic
-        (Filename.concat jdir "rec-000000.json")
-        "{\"case\":\"c1\"}";
-      Rb_util.Fsfile.write_atomic
-        (Filename.concat jdir "rec-000001.json")
-        "}{ not json";
+      journal_cases jdir [ "c1" ];
+      (* garbage where the second frame should be *)
+      let log = Filename.concat jdir "journal.log" in
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 log in
+      output_string oc "}{ not json";
+      close_out oc;
       let report = Store.fsck ~dir () in
       Alcotest.(check int) "garbage segment healed away" 1
         (Store.fsck_count `Healed report);
@@ -672,7 +681,49 @@ let test_fsck_garbage_journal () =
       Alcotest.(check (list int)) "job still resumable" [ s.id ]
         (ids (Store.pending reopened));
       Alcotest.(check int) "frontier recomputed from surviving segments" 1
-        (Store.progress reopened s.id))
+        (Store.progress reopened s.id);
+      Alcotest.(check (option string)) "cut bytes kept for triage"
+        (Some "}{ not json")
+        (Rb_util.Fsfile.read
+           (Filename.concat dir
+              "quarantined/corrupt/jobs-job-000000-journal.log.tail")))
+
+(* A format-1 journal (one file per record) left by an older build is
+   never misread: the job recomputes it, as on a fingerprint mismatch,
+   and the journal comes back in the current format. *)
+let test_jobrun_format_1_recomputed () =
+  with_dir (fun dir ->
+      let names =
+        List.filteri (fun i _ -> i < 2)
+          (List.map (fun (c : Dataset.Case.t) -> c.Dataset.Case.name)
+             Dataset.Corpus.all)
+      in
+      let run jdir =
+        match
+          Serve.Jobrun.execute ~backend:"llm-only" ~case_names:names
+            ~opts:Opts.default ~label:"serve/job-000000" ~journal_dir:jdir
+            ~domains:(Some 1) ~before:ignore ~cancel:(fun () -> false)
+            ~observe:(fun ~seq:_ ~case:_ ~seed:_ ~report_json:_ -> ())
+            ()
+        with
+        | Ok o -> o
+        | Error e -> Alcotest.failf "job failed: %s" e
+      in
+      let want = run (Filename.concat dir "reference") in
+      let jdir = Filename.concat dir "old" in
+      Rb_util.Fsfile.mkdir_p jdir;
+      List.iter
+        (fun f -> Rb_util.Fsfile.write_atomic (Filename.concat jdir f) "{}")
+        [ "MANIFEST.json"; "rec-000000.json"; "snap-000.bin" ];
+      let got = run jdir in
+      Alcotest.(check int) "nothing replayed" 0 got.Serve.Jobrun.replayed;
+      Alcotest.(check (list string)) "reports as a fresh run"
+        (List.map Rustbrain.Report.to_json want.Serve.Jobrun.reports)
+        (List.map Rustbrain.Report.to_json got.Serve.Jobrun.reports);
+      Alcotest.(check bool) "journal rewritten as format 2" false
+        (Exec.Journal.format_1 ~dir:jdir);
+      Alcotest.(check int) "and it replays next time"
+        (List.length names) (run jdir).Serve.Jobrun.replayed)
 
 let test_fsck_marker_conflicts () =
   with_dir (fun dir ->
@@ -1056,5 +1107,7 @@ let suite =
       test_procpool_malformed;
     Alcotest.test_case "procpool: poison labels round-trip" `Quick
       test_poison_labels;
+    Alcotest.test_case "jobrun: format-1 journal recomputed" `Quick
+      test_jobrun_format_1_recomputed;
     Alcotest.test_case "procpool: respawn backoff bounds" `Quick
       test_procpool_backoff ]
