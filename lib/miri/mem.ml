@@ -391,61 +391,59 @@ let sync_clock_of _t a offset = (bucket_of a (offset / 8)).sync
 (* ------------------------------------------------------------------ *)
 (* Access validation *)
 
-let check_access t ~ptr ~len ~align ~write ~tid ~clock ~atomic =
-  let open Value in
-  let fail_no_alloc () =
-    if ptr.addr = 0 then Error (No_alloc "null pointer dereference")
-    else Error (No_alloc (Printf.sprintf "no allocation at address %d" ptr.addr))
-  in
-  let resolve () =
-    match ptr.prov with
-    | P_alloc id -> (
-      match find_alloc t id with
-      | Some a -> Ok a
-      | None -> fail_no_alloc ())
-    | P_wild -> (
-      match alloc_containing t ptr.addr with
-      | None -> fail_no_alloc ()
-      | Some a ->
-        if a.exposed then Ok a
-        else
-          Error
-            (Not_exposed
-               (Printf.sprintf
-                  "wildcard pointer into allocation %d whose address was never exposed"
-                  a.id)))
-    | P_fn _ -> Error (No_alloc "data access through a function pointer")
-    | P_none -> fail_no_alloc ()
-  in
-  match resolve () with
-  | Error _ as e -> e
-  | Ok a ->
-    if not a.live then
+(* Top-level helpers (not closures over [ptr]): without flambda every
+   closure that captures a variable is a heap block per access. *)
+let fail_no_alloc (ptr : Value.pointer) =
+  if ptr.Value.addr = 0 then Error (No_alloc "null pointer dereference")
+  else Error (No_alloc (Printf.sprintf "no allocation at address %d" ptr.Value.addr))
+
+let check_resolved t a ~(ptr : Value.pointer) ~len ~align ~write ~tid ~clock ~atomic =
+  if not a.live then
+    Error
+      (Dead
+         (Printf.sprintf "use of deallocated memory (allocation %d at address %d)"
+            a.id ptr.Value.addr))
+  else begin
+    let offset = ptr.Value.addr - a.base in
+    if offset < 0 || offset + len > a.size then
       Error
-        (Dead
-           (Printf.sprintf "use of deallocated memory (allocation %d at address %d)"
-              a.id ptr.addr))
-    else begin
-      let offset = ptr.addr - a.base in
-      if offset < 0 || offset + len > a.size then
-        Error
-          (Oob
-             (Printf.sprintf
-                "out-of-bounds access: %d bytes at offset %d of %d-byte allocation %d"
-                len offset a.size a.id))
-      else if align > 1 && ptr.addr mod align <> 0 then
-        Error
-          (Misaligned
-             (Printf.sprintf "address %d is not aligned to %d bytes" ptr.addr align))
-      else if len = 0 then Ok (a, offset, [])
+        (Oob
+           (Printf.sprintf
+              "out-of-bounds access: %d bytes at offset %d of %d-byte allocation %d"
+              len offset a.size a.id))
+    else if align > 1 && ptr.Value.addr mod align <> 0 then
+      Error
+        (Misaligned
+           (Printf.sprintf "address %d is not aligned to %d bytes" ptr.Value.addr align))
+    else if len = 0 then Ok (a, offset, [])
+    else
+      match Borrow.access a.borrows ~tag:ptr.Value.tag ~write with
+      | Error v -> Error (Borrow_bad v)
+      | Ok popped -> (
+        match race_check t a ~offset ~len ~tid ~clock ~write ~atomic with
+        | Error msg -> Error (Race msg)
+        | Ok () -> Ok (a, offset, popped))
+  end
+
+let check_access t ~(ptr : Value.pointer) ~len ~align ~write ~tid ~clock ~atomic =
+  match ptr.Value.prov with
+  | Value.P_alloc id ->
+    if id >= 1 && id <= t.index_len then
+      check_resolved t t.index.(id - 1) ~ptr ~len ~align ~write ~tid ~clock ~atomic
+    else fail_no_alloc ptr
+  | Value.P_wild -> (
+    match alloc_containing t ptr.Value.addr with
+    | None -> fail_no_alloc ptr
+    | Some a ->
+      if a.exposed then check_resolved t a ~ptr ~len ~align ~write ~tid ~clock ~atomic
       else
-        match Borrow.access a.borrows ~tag:ptr.tag ~write with
-        | Error v -> Error (Borrow_bad v)
-        | Ok popped -> (
-          match race_check t a ~offset ~len ~tid ~clock ~write ~atomic with
-          | Error msg -> Error (Race msg)
-          | Ok () -> Ok (a, offset, popped))
-    end
+        Error
+          (Not_exposed
+             (Printf.sprintf
+                "wildcard pointer into allocation %d whose address was never exposed"
+                a.id)))
+  | Value.P_fn _ -> Error (No_alloc "data access through a function pointer")
+  | Value.P_none -> fail_no_alloc ptr
 
 (* ------------------------------------------------------------------ *)
 (* Byte view (tests, transmute boundary) *)
@@ -735,6 +733,9 @@ let rec read_value program (a : allocation) ~offset (ty : Ast.ty) :
       | 0 -> Ok (V_bool false)
       | 1 -> Ok (V_bool true)
       | n -> Error (Printf.sprintf "invalid bool byte %d (must be 0 or 1)" n))
+  | Ast.T_int ((Ast.I64 | Ast.Usize) as w) when range_fully_init s ~offset ~len:8 ->
+    (* the common 8-byte read, without [read_raw_int]'s intermediate option *)
+    Ok (V_int (Bytes.get_int64_le s.data offset, w))
   | Ast.T_int w -> (
     let len = width_len w in
     match read_raw_int s ~offset ~len with

@@ -63,6 +63,35 @@ type thread_status =
 
 type thread = { tid : int; mutable clock : Vclock.t; mutable status : thread_status }
 
+(* A suspended thread the scheduler can resume. *)
+type pending = { p_tid : int; run : unit -> unit }
+
+(* Order-preserving growable queue of pendings: [push] appends, [take i]
+   removes the [i]th oldest and closes the gap, so a seeded pick sees
+   exactly the order the old list-based queue held. *)
+type pqueue = { mutable items : pending array; mutable len : int }
+
+let no_pending = { p_tid = -1; run = ignore }
+
+let pq_create () = { items = [||]; len = 0 }
+
+let pq_push q p =
+  let cap = Array.length q.items in
+  if q.len = cap then begin
+    let bigger = Array.make (max 4 (2 * cap)) no_pending in
+    Array.blit q.items 0 bigger 0 q.len;
+    q.items <- bigger
+  end;
+  q.items.(q.len) <- p;
+  q.len <- q.len + 1
+
+let pq_take q i =
+  let p = q.items.(i) in
+  Array.blit q.items (i + 1) q.items i (q.len - i - 1);
+  q.len <- q.len - 1;
+  q.items.(q.len) <- no_pending;  (* drop the continuation for the GC *)
+  p
+
 type state = {
   config : config;
   program : Ast.program;
@@ -82,6 +111,7 @@ type state = {
   mutable cur_stmt : int;         (* node id of the statement being executed *)
   mutable allocs : int;           (* allocations performed so far *)
   mutable alloc_bytes : int;      (* cumulative bytes allocated *)
+  runq : pqueue;                  (* runnable threads other than the running one *)
 }
 
 (* Per-thread evaluation context shared by both engines: the state plus the
@@ -275,26 +305,28 @@ let truncate_to_width (n : int64) (w : Ast.int_width) =
 
 let arith_panic op = raise (Panic_exc (Printf.sprintf "attempt to %s with overflow" op))
 
+(* overflow is checked on the untruncated result; only then is the value
+   narrowed to the width (at which point narrowing is the identity). A
+   top-level function rather than a closure over [op]/[a]/[b]/[w], which
+   would be a heap block per arithmetic step. *)
+let check_overflow (op : Ast.binop) a b (w : Ast.int_width) ~unsigned name result =
+  if unsigned then begin
+    (* unsigned 64-bit: overflow iff result is "less" than an operand for
+       add, or borrow for sub, detected via unsigned compare *)
+    match op with
+    | Ast.Add -> if Int64.unsigned_compare result a < 0 then arith_panic name else result
+    | Ast.Sub -> if Int64.unsigned_compare a b < 0 then arith_panic name else result
+    | Ast.Mul ->
+      if (not (Int64.equal a 0L)) && not (Int64.equal (Int64.unsigned_div result a) b)
+      then arith_panic name
+      else result
+    | _ -> result
+  end
+  else if fits_width result w then result
+  else arith_panic name
+
 let eval_arith (op : Ast.binop) (a : int64) (b : int64) (w : Ast.int_width) : int64 =
   let unsigned = w = Ast.Usize in
-  (* overflow is checked on the untruncated result; only then is the value
-     narrowed to the width (at which point narrowing is the identity) *)
-  let check name result =
-    if unsigned then begin
-      (* unsigned 64-bit: overflow iff result is "less" than an operand for
-         add, or borrow for sub, detected via unsigned compare *)
-      match op with
-      | Ast.Add -> if Int64.unsigned_compare result a < 0 then arith_panic name else result
-      | Ast.Sub -> if Int64.unsigned_compare a b < 0 then arith_panic name else result
-      | Ast.Mul ->
-        if (not (Int64.equal a 0L)) && not (Int64.equal (Int64.unsigned_div result a) b)
-        then arith_panic name
-        else result
-      | _ -> result
-    end
-    else if fits_width result w then result
-    else arith_panic name
-  in
   match op with
   | Ast.Add ->
     let r = Int64.add a b in
@@ -304,7 +336,7 @@ let eval_arith (op : Ast.binop) (a : int64) (b : int64) (w : Ast.int_width) : in
     else if (not unsigned) && w = Ast.I64 && Int64.compare a 0L < 0
             && Int64.compare b 0L < 0 && Int64.compare r 0L >= 0
     then arith_panic "add"
-    else truncate_to_width (check "add" r) w
+    else truncate_to_width (check_overflow op a b w ~unsigned "add" r) w
   | Ast.Sub ->
     let r = Int64.sub a b in
     if (not unsigned) && w = Ast.I64 && Int64.compare b 0L < 0 && Int64.compare a 0L > 0
@@ -313,13 +345,13 @@ let eval_arith (op : Ast.binop) (a : int64) (b : int64) (w : Ast.int_width) : in
     else if (not unsigned) && w = Ast.I64 && Int64.compare b 0L > 0
             && Int64.compare a 0L < 0 && Int64.compare r 0L > 0
     then arith_panic "subtract"
-    else truncate_to_width (check "subtract" r) w
+    else truncate_to_width (check_overflow op a b w ~unsigned "subtract" r) w
   | Ast.Mul ->
     let r = Int64.mul a b in
     if (not unsigned) && w = Ast.I64 && (not (Int64.equal a 0L))
        && not (Int64.equal (Int64.div r a) b)
     then arith_panic "multiply"
-    else truncate_to_width (check "multiply" r) w
+    else truncate_to_width (check_overflow op a b w ~unsigned "multiply" r) w
   | Ast.Div ->
     if Int64.equal b 0L then raise (Panic_exc "attempt to divide by zero")
     else if unsigned then Int64.unsigned_div a b
@@ -347,6 +379,9 @@ let eval_arith (op : Ast.binop) (a : int64) (b : int64) (w : Ast.int_width) : in
   | Ast.And | Ast.Or | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
     invalid_arg "Machine.eval_arith: not an arithmetic operator"
 
+(* The two booleans as shared constants: a comparison allocates nothing. *)
+let of_bool b = if b then Value.V_bool true else Value.V_bool false
+
 let compare_ints (w : Ast.int_width) a b =
   if w = Ast.Usize then Int64.unsigned_compare a b else Int64.compare a b
 
@@ -359,10 +394,16 @@ type _ Effect.t +=
   | Join_eff : int -> bool Effect.t
         (** resumes with [false] if the handle was invalid / already joined *)
 
+(* Once a second thread has ever existed every step is a scheduling point.
+   When no other thread is runnable the scheduler could only re-enqueue the
+   yielder, draw [Rng.int sched_rng 1] and resume it, so that draw is made
+   inline instead: same RNG stream, no effect, no continuation. *)
 let yield_point (st : state) =
   st.steps <- st.steps + 1;
   if st.steps > st.config.max_steps then raise Step_limit_exc;
-  if Hashtbl.length st.threads > 1 then Effect.perform Yield
+  if Hashtbl.length st.threads > 1 then
+    if st.runq.len = 0 then ignore (Rb_util.Rng.int st.sched_rng 1 : int)
+    else Effect.perform Yield
 
 (* ------------------------------------------------------------------ *)
 (* Value-level operation cores. Both engines dispatch differently (AST walk
@@ -400,7 +441,7 @@ let apply_unop ec op (v : Value.t) : Value.t =
     if (not (fits_width (Int64.neg n) w)) || (w <> Ast.Usize && Int64.equal n Int64.min_int)
     then raise (Panic_exc "attempt to negate with overflow")
     else Value.V_int (Int64.neg n, w)
-  | Ast.Not, Value.V_bool b -> Value.V_bool (not b)
+  | Ast.Not, Value.V_bool b -> of_bool (not b)
   | Ast.Not, Value.V_int (n, w) -> Value.V_int (truncate_to_width (Int64.lognot n) w, w)
   | _ ->
     report ec Diag.Validity "invalid operand for unary operator"
@@ -411,23 +452,23 @@ let apply_binop ec op (va : Value.t) (vb : Value.t) : Value.t =
   match (va, vb) with
   | Value.V_int (x, w), Value.V_int (y, _) -> (
     match op with
-    | Ast.Eq -> Value.V_bool (Int64.equal x y)
-    | Ast.Ne -> Value.V_bool (not (Int64.equal x y))
-    | Ast.Lt -> Value.V_bool (compare_ints w x y < 0)
-    | Ast.Le -> Value.V_bool (compare_ints w x y <= 0)
-    | Ast.Gt -> Value.V_bool (compare_ints w x y > 0)
-    | Ast.Ge -> Value.V_bool (compare_ints w x y >= 0)
+    | Ast.Eq -> of_bool (Int64.equal x y)
+    | Ast.Ne -> of_bool (not (Int64.equal x y))
+    | Ast.Lt -> of_bool (compare_ints w x y < 0)
+    | Ast.Le -> of_bool (compare_ints w x y <= 0)
+    | Ast.Gt -> of_bool (compare_ints w x y > 0)
+    | Ast.Ge -> of_bool (compare_ints w x y >= 0)
     | _ -> Value.V_int (eval_arith op x y w, w))
   | Value.V_bool x, Value.V_bool y -> (
     match op with
-    | Ast.Eq -> Value.V_bool (x = y)
-    | Ast.Ne -> Value.V_bool (x <> y)
+    | Ast.Eq -> of_bool (x = y)
+    | Ast.Ne -> of_bool (x <> y)
     | _ ->
       report ec Diag.Validity "invalid bool operands" ~recover:(fun () -> va))
   | Value.V_ptr (p, _), Value.V_ptr (q, _) -> (
     match op with
-    | Ast.Eq -> Value.V_bool (p.Value.addr = q.Value.addr)
-    | Ast.Ne -> Value.V_bool (p.Value.addr <> q.Value.addr)
+    | Ast.Eq -> of_bool (p.Value.addr = q.Value.addr)
+    | Ast.Ne -> of_bool (p.Value.addr <> q.Value.addr)
     | _ ->
       report ec Diag.Validity "invalid pointer operands" ~recover:(fun () -> va))
   | Value.V_unit, Value.V_unit -> (
@@ -804,8 +845,6 @@ let missing_return_value ec fname (ret : Ast.ty) : Value.t =
    supplies [init_statics] and [main_body]; spawned threads enter through
    the [Spawn_eff] body closure the engine built. *)
 
-type pending = { p_tid : int; run : unit -> unit }
-
 let drive ~(config : config) ~(program : Ast.program) ~(info : Typecheck.info)
     ~(init_statics : state -> int -> unit) ~(main_body : state -> int -> unit) :
     run_result =
@@ -840,12 +879,19 @@ let drive ~(config : config) ~(program : Ast.program) ~(info : Typecheck.info)
       cur_stmt = -1;
       allocs = 0;
       alloc_bytes = 0;
+      runq = pq_create ();
     }
   in
-  let runnable : pending list ref = ref [] in
-  let enqueue p = runnable := !runnable @ [ p ] in
-  (* joiners waiting on a tid *)
-  let waiters : (int, pending list) Hashtbl.t = Hashtbl.create 8 in
+  let enqueue p = pq_push st.runq p in
+  (* joiners waiting on a tid, oldest first *)
+  let waiters : (int, pqueue) Hashtbl.t = Hashtbl.create 8 in
+  let wake_joiners tid =
+    match Hashtbl.find_opt waiters tid with
+    | Some ws ->
+      Hashtbl.remove waiters tid;
+      for i = 0 to ws.len - 1 do enqueue ws.items.(i) done
+    | None -> ()
+  in
   let new_thread () =
     let tid = st.next_tid in
     st.next_tid <- tid + 1;
@@ -876,20 +922,11 @@ let drive ~(config : config) ~(program : Ast.program) ~(info : Typecheck.info)
         retc =
           (fun () ->
             t.status <- T_done;
-            (* wake joiners *)
-            match Hashtbl.find_opt waiters t.tid with
-            | Some ws ->
-              Hashtbl.remove waiters t.tid;
-              List.iter enqueue ws
-            | None -> ());
+            wake_joiners t.tid);
         exnc =
           (fun e ->
             t.status <- T_done;
-            (match Hashtbl.find_opt waiters t.tid with
-            | Some ws ->
-              Hashtbl.remove waiters t.tid;
-              List.iter enqueue ws
-            | None -> ());
+            wake_joiners t.tid;
             match e with
             | Panic_exc msg -> record_stop (Panicked msg)
             | Ub_fatal d -> record_stop (Ub d)
@@ -934,10 +971,15 @@ let drive ~(config : config) ~(program : Ast.program) ~(info : Typecheck.info)
                               continue k true);
                         }
                       in
-                      let existing =
-                        Option.value (Hashtbl.find_opt waiters target) ~default:[]
+                      let ws =
+                        match Hashtbl.find_opt waiters target with
+                        | Some ws -> ws
+                        | None ->
+                          let ws = pq_create () in
+                          Hashtbl.replace waiters target ws;
+                          ws
                       in
-                      Hashtbl.replace waiters target (existing @ [ resume ])))
+                      pq_push ws resume))
             | _ -> None);
       }
   in
@@ -955,16 +997,14 @@ let drive ~(config : config) ~(program : Ast.program) ~(info : Typecheck.info)
   let rec loop () =
     match st.stop with
     | Some _ -> ()
-    | None -> (
-      match !runnable with
-      | [] -> ()
-      | pendings ->
-        let n = List.length pendings in
-        let idx = Rb_util.Rng.int st.sched_rng n in
-        let chosen = List.nth pendings idx in
-        runnable := List.filteri (fun i _ -> i <> idx) pendings;
+    | None ->
+      let q = st.runq in
+      if q.len > 0 then begin
+        let idx = Rb_util.Rng.int st.sched_rng q.len in
+        let chosen = pq_take q idx in
         chosen.run ();
-        loop ())
+        loop ()
+      end
   in
   loop ();
   (* post-run checks *)

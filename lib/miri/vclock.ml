@@ -8,25 +8,36 @@ type t = (int * int) array
 
 let empty : t = [||]
 
-let get (c : t) tid =
-  let n = Array.length c in
-  let rec go i =
-    if i >= n then 0
-    else
-      let t, e = Array.unsafe_get c i in
-      if t = tid then e else if t > tid then 0 else go (i + 1)
-  in
-  go 0
+(* The scans below are top-level recursive functions, not local closures:
+   without flambda a closure capturing [c]/[tid] is a heap block per call,
+   and [get]/[set]/[leq] run on every racing access. *)
+let rec get_from (c : t) n tid i =
+  if i >= n then 0
+  else
+    let t, e = Array.unsafe_get c i in
+    if t = tid then e else if t > tid then 0 else get_from c n tid (i + 1)
+
+let get (c : t) tid = get_from c (Array.length c) tid 0
+
+let rec index_of (c : t) n tid i =
+  if i >= n then -1
+  else
+    let t, _ = Array.unsafe_get c i in
+    if t = tid then i else if t > tid then -1 else index_of c n tid (i + 1)
+
+(* copy [c] into [out] with [out.(dst)] already holding the new entry *)
+let rec fill_insert (c : t) n (out : t) tid src dst =
+  if src < n then
+    let ((t, _) as p) = c.(src) in
+    if t < tid then begin
+      out.(dst) <- p;
+      fill_insert c n out tid (src + 1) (dst + 1)
+    end
+    else Array.blit c src out (dst + 1) (n - src)
 
 let set (c : t) tid v =
   let n = Array.length c in
-  let rec find i =
-    if i >= n then -1
-    else
-      let t, _ = Array.unsafe_get c i in
-      if t = tid then i else if t > tid then -1 else find (i + 1)
-  in
-  let i = find 0 in
+  let i = index_of c n tid 0 in
   if i >= 0 then
     if snd c.(i) = v then c  (* unchanged: physically the same clock *)
     else begin
@@ -36,19 +47,7 @@ let set (c : t) tid v =
     end
   else begin
     let out = Array.make (n + 1) (tid, v) in
-    let rec fill src dst =
-      if src < n then
-        let ((t, _) as p) = c.(src) in
-        if t < tid then begin
-          out.(dst) <- p;
-          fill (src + 1) (dst + 1)
-        end
-        else begin
-          (* out.(dst) already holds (tid, v) *)
-          Array.blit c src out (dst + 1) (n - src)
-        end
-    in
-    fill 0 0;
+    fill_insert c n out tid 0 0;
     out
   end
 
@@ -99,23 +98,20 @@ let merge (a : t) (b : t) =
     end
   end
 
-let leq (a : t) (b : t) =
-  a == b
+(* both sorted: advance through b once instead of a search per entry *)
+let rec leq_from (a : t) na (b : t) nb i j =
+  i >= na
   ||
-  let na = Array.length a and nb = Array.length b in
-  (* both sorted: advance through b once instead of a search per entry *)
-  let rec go i j =
-    i >= na
-    ||
-    let ta, ea = Array.unsafe_get a i in
-    if j >= nb then ea <= 0 && go (i + 1) j
-    else
-      let tb, eb = Array.unsafe_get b j in
-      if tb < ta then go i (j + 1)
-      else if tb = ta then ea <= eb && go (i + 1) (j + 1)
-      else ea <= 0 && go (i + 1) j
-  in
-  go 0 0
+  let ta, ea = Array.unsafe_get a i in
+  if j >= nb then ea <= 0 && leq_from a na b nb (i + 1) j
+  else
+    let tb, eb = Array.unsafe_get b j in
+    if tb < ta then leq_from a na b nb i (j + 1)
+    else if tb = ta then ea <= eb && leq_from a na b nb (i + 1) (j + 1)
+    else ea <= 0 && leq_from a na b nb (i + 1) j
+
+let leq (a : t) (b : t) =
+  a == b || leq_from a (Array.length a) b (Array.length b) 0 0
 
 let to_string (c : t) =
   let entries =

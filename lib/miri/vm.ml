@@ -12,10 +12,11 @@
 
 open Minirust
 
-(* one bound local: its stack allocation plus the layout resolved once at
-   bind time instead of once per access *)
+(* one bound local: its stack allocation plus its base pointer and layout,
+   resolved once at bind time instead of once per access *)
 type slot_entry = {
   sl_alloc : Mem.allocation;
+  sl_ptr : Value.pointer;  (* [Rt.base_pointer sl_alloc] *)
   sl_ty : Ast.ty;
   sl_size : int;
   sl_align : int;
@@ -24,7 +25,8 @@ type slot_entry = {
 type vctx = {
   ec : Rt.ectx;
   code : Bytecode.program_code;
-  statics : Mem.allocation option array;  (* shared across threads *)
+  statics : Value.pointer option array;
+      (* base pointer of each static once allocated; shared across threads *)
   (* operand stack *)
   mutable ops : Value.t array;
   mutable osp : int;
@@ -114,7 +116,7 @@ let get_slot c i =
   match c.slots.(c.frame_base + i) with Some e -> e | None -> assert false
 
 let get_static c k =
-  match c.statics.(k) with Some a -> a | None -> assert false
+  match c.statics.(k) with Some p -> p | None -> assert false
 
 let push_live c idx =
   let n = Array.length c.live in
@@ -126,8 +128,9 @@ let push_live c idx =
   c.live.(c.lsp) <- idx;
   c.lsp <- c.lsp + 1
 
-let set_slot c idx e =
-  c.slots.(idx) <- Some e;
+let set_slot c idx a ptr ty ~size ~align =
+  c.slots.(idx) <-
+    Some { sl_alloc = a; sl_ptr = ptr; sl_ty = ty; sl_size = size; sl_align = align };
   push_live c idx
 
 let push_mark c =
@@ -151,7 +154,7 @@ let unwind_live c target =
     | None -> ()
   done
 
-let truthy v = Option.value (Value.as_bool v) ~default:false
+let truthy = function Value.V_bool b -> b | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Instruction loop *)
@@ -183,19 +186,19 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
     | Bytecode.I_load_local slot ->
       let e = get_slot c slot in
       push c
-        (Rt.typed_read_sized ec (Rt.base_pointer e.sl_alloc) e.sl_ty ~len:e.sl_size
+        (Rt.typed_read_sized ec e.sl_ptr e.sl_ty ~len:e.sl_size
            ~align:e.sl_align ~atomic:false);
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_store_local slot ->
       let v = pop c in
       let e = get_slot c slot in
-      Rt.typed_write_sized ec (Rt.base_pointer e.sl_alloc) e.sl_ty v ~len:e.sl_size
+      Rt.typed_write_sized ec e.sl_ptr e.sl_ty v ~len:e.sl_size
         ~align:e.sl_align ~atomic:false;
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_load_deref_local slot ->
       let e = get_slot c slot in
       let pv =
-        Rt.typed_read_sized ec (Rt.base_pointer e.sl_alloc) e.sl_ty ~len:e.sl_size
+        Rt.typed_read_sized ec e.sl_ptr e.sl_ty ~len:e.sl_size
           ~align:e.sl_align ~atomic:false
       in
       let ptr, ty = Rt.place_deref ec pv in
@@ -205,7 +208,7 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       let v = pop c in
       let e = get_slot c slot in
       let pv =
-        Rt.typed_read_sized ec (Rt.base_pointer e.sl_alloc) e.sl_ty ~len:e.sl_size
+        Rt.typed_read_sized ec e.sl_ptr e.sl_ty ~len:e.sl_size
           ~align:e.sl_align ~atomic:false
       in
       let ptr, ty = Rt.place_deref ec pv in
@@ -213,27 +216,24 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_local_binop (slot, op, k, kw) ->
       let e = get_slot c slot in
-      let base = Rt.base_pointer e.sl_alloc in
       let va =
-        Rt.typed_read_sized ec base e.sl_ty ~len:e.sl_size ~align:e.sl_align
+        Rt.typed_read_sized ec e.sl_ptr e.sl_ty ~len:e.sl_size ~align:e.sl_align
           ~atomic:false
       in
       let r = Rt.apply_binop ec op va (Value.V_int (k, kw)) in
-      Rt.typed_write_sized ec base e.sl_ty r ~len:e.sl_size ~align:e.sl_align
+      Rt.typed_write_sized ec e.sl_ptr e.sl_ty r ~len:e.sl_size ~align:e.sl_align
         ~atomic:false;
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_load_static k ->
-      let a = get_static c k in
       let si = c.code.Bytecode.pc_statics.(k) in
       push c
-        (Rt.typed_read_sized ec (Rt.base_pointer a) si.Bytecode.si_ty
+        (Rt.typed_read_sized ec (get_static c k) si.Bytecode.si_ty
            ~len:si.Bytecode.si_size ~align:si.Bytecode.si_align ~atomic:false);
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_store_static k ->
       let v = pop c in
-      let a = get_static c k in
       let si = c.code.Bytecode.pc_statics.(k) in
-      Rt.typed_write_sized ec (Rt.base_pointer a) si.Bytecode.si_ty v
+      Rt.typed_write_sized ec (get_static c k) si.Bytecode.si_ty v
         ~len:si.Bytecode.si_size ~align:si.Bytecode.si_align ~atomic:false;
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_unop op ->
@@ -352,12 +352,11 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_place_local slot ->
       let e = get_slot c slot in
-      push_place c (Rt.base_pointer e.sl_alloc) e.sl_ty;
+      push_place c e.sl_ptr e.sl_ty;
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_place_static k ->
-      let a = get_static c k in
       let si = c.code.Bytecode.pc_statics.(k) in
-      push_place c (Rt.base_pointer a) si.Bytecode.si_ty;
+      push_place c (get_static c k) si.Bytecode.si_ty;
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_place_deref ->
       let v = pop c in
@@ -410,8 +409,9 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
     | Bytecode.I_let (slot, ty, size, align) ->
       let v = pop c in
       let a = Rt.tracked_allocate st ~size ~align:(max 1 align) ~kind:Mem.Stack in
-      Rt.typed_write_sized ec (Rt.base_pointer a) ty v ~len:size ~align ~atomic:false;
-      set_slot c (c.frame_base + slot) { sl_alloc = a; sl_ty = ty; sl_size = size; sl_align = align };
+      let ptr = Rt.base_pointer a in
+      Rt.typed_write_sized ec ptr ty v ~len:size ~align ~atomic:false;
+      set_slot c (c.frame_base + slot) a ptr ty ~size ~align;
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_let_dyn slot ->
       let v = pop c in
@@ -419,8 +419,9 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       let size = Layout.size_of st.Rt.program ty in
       let align = Layout.align_of st.Rt.program ty in
       let a = Rt.tracked_allocate st ~size ~align:(max 1 align) ~kind:Mem.Stack in
-      Rt.typed_write_sized ec (Rt.base_pointer a) ty v ~len:size ~align ~atomic:false;
-      set_slot c (c.frame_base + slot) { sl_alloc = a; sl_ty = ty; sl_size = size; sl_align = align };
+      let ptr = Rt.base_pointer a in
+      Rt.typed_write_sized ec ptr ty v ~len:size ~align ~atomic:false;
+      set_slot c (c.frame_base + slot) a ptr ty ~size ~align;
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_assign ->
       c.psp <- c.psp - 1;
@@ -470,11 +471,11 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       (* bind the handle as a local *)
       let ty = Ast.T_handle in
       let a = Rt.tracked_allocate st ~size:8 ~align:8 ~kind:Mem.Stack in
-      Rt.typed_write ec (Rt.base_pointer a) ty (Value.V_handle tid) ~atomic:false;
-      set_slot c (c.frame_base + slot)
-        { sl_alloc = a; sl_ty = ty;
-          sl_size = Layout.size_of st.Rt.program ty;
-          sl_align = Layout.align_of st.Rt.program ty };
+      let ptr = Rt.base_pointer a in
+      Rt.typed_write ec ptr ty (Value.V_handle tid) ~atomic:false;
+      set_slot c (c.frame_base + slot) a ptr ty
+        ~size:(Layout.size_of st.Rt.program ty)
+        ~align:(Layout.align_of st.Rt.program ty);
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_spawn_unknown name ->
       invalid_arg ("Machine: spawn of unknown function " ^ name)
@@ -487,13 +488,12 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
         Rt.tracked_allocate st ~size:si.Bytecode.si_size
           ~align:(max 1 si.Bytecode.si_align) ~kind:Mem.Global
       in
-      c.statics.(k) <- Some a;
+      c.statics.(k) <- Some (Rt.base_pointer a);
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_static_store k ->
       let v = pop c in
-      let a = get_static c k in
       let si = c.code.Bytecode.pc_statics.(k) in
-      Rt.typed_write_sized ec (Rt.base_pointer a) si.Bytecode.si_ty v
+      Rt.typed_write_sized ec (get_static c k) si.Bytecode.si_ty v
         ~len:si.Bytecode.si_size ~align:si.Bytecode.si_align ~atomic:false;
       run_code c f ~lsp0 (pc + 1)
 
@@ -543,10 +543,9 @@ and enter c (f : Bytecode.fn_code) get_arg ~args_base : Value.t =
     for i = 0 to Array.length layouts - 1 do
       let pty, size, align = layouts.(i) in
       let a = Rt.tracked_allocate st ~size ~align:(max 1 align) ~kind:Mem.Stack in
-      Rt.typed_write_sized c.ec (Rt.base_pointer a) pty (get_arg i) ~len:size ~align
-        ~atomic:false;
-      set_slot c (new_base + i)
-        { sl_alloc = a; sl_ty = pty; sl_size = size; sl_align = align }
+      let ptr = Rt.base_pointer a in
+      Rt.typed_write_sized c.ec ptr pty (get_arg i) ~len:size ~align ~atomic:false;
+      set_slot c (new_base + i) a ptr pty ~size ~align
     done;
     c.osp <- args_base;
     let v = run_code c f ~lsp0:saved_lsp 0 in

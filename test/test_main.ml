@@ -17,6 +17,7 @@ let () =
       ("mem", Test_mem.suite);
       ("machine", Test_machine.suite);
       ("golden", Test_golden.suite);
+      ("cost", Test_cost.suite);
       ("differential", Test_differential.suite);
       ("dataset", Test_dataset.suite);
       ("llm", Test_llm.suite);
