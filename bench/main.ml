@@ -894,11 +894,47 @@ fn main() {
 |}
     calls
 
+(* Spin-race: dr_flag_spin's cost shape without its UB. A child ticks an
+   atomic counter a few times and exits while main keeps polling the
+   counter, so almost every step is a scheduling point with a single
+   runnable thread — the lone-runnable yield fast path. *)
+let interp_spin_src ~ticks ~spins =
+  Printf.sprintf
+    {|
+static mut TICKS: i64 = 0;
+
+fn ticker(n: i64) {
+    let mut i = 0;
+    while i < n {
+        unsafe {
+            atomic_add(&raw mut TICKS, 1);
+        }
+        i = i + 1;
+    }
+}
+
+fn main() {
+    let h = spawn ticker(%d);
+    let mut spins = 0;
+    let mut seen = 0;
+    while spins < %d {
+        unsafe {
+            seen = atomic_load(&raw mut TICKS);
+        }
+        spins = spins + 1;
+    }
+    join(h);
+    print(seen);
+}
+|}
+    ticks spins
+
 let interp_workloads =
   [ ("alloc-heavy", interp_alloc_src ~blocks:3000);
     ("pointer-chase", interp_chase_src ~nodes:250 ~rounds:40);
     ("race-check", interp_race_src ~iters:1200);
-    ("call-locals", interp_calls_src ~calls:4000) ]
+    ("call-locals", interp_calls_src ~calls:4000);
+    ("spin-race", interp_spin_src ~ticks:40 ~spins:60000) ]
 
 let interp_run ?(seed = 1) ?(engine = Miri.Machine.default_config.Miri.Machine.engine)
     src =
@@ -937,18 +973,23 @@ let interp () =
       failwith
         (Printf.sprintf "engine step divergence: tree %d vs bytecode %d"
            rt.Miri.Machine.steps rv.Miri.Machine.steps);
+    (* minor-heap words per VM step: deterministic, unlike the timings
+       (parse and typecheck ride along, a constant per run) *)
+    let w0 = Gc.minor_words () in
+    ignore (run_vm ());
+    let words = (Gc.minor_words () -. w0) /. float_of_int (max 1 rv.Miri.Machine.steps) in
     let tree = ref infinity and vm = ref infinity in
     for _ = 1 to 5 do
       tree := min !tree (time run_tree);
       vm := min !vm (time run_vm)
     done;
-    (!vm, !tree, rv.Miri.Machine.steps)
+    (!vm, !tree, rv.Miri.Machine.steps, words)
   in
   let rows =
     List.map
       (fun (name, src) ->
-        let t, tree_t, steps = measure src in
-        (name, t, tree_t, steps))
+        let t, tree_t, steps, words = measure src in
+        (name, t, tree_t, steps, words))
       interp_workloads
   in
   (* preserve the first recorded run as the baseline forever: the committed
@@ -985,19 +1026,25 @@ let interp () =
   let current =
     Obj
       (List.map
-         (fun (name, t, _, steps) ->
-           (name, Obj [ ("ms", Num (1000.0 *. t)); ("steps", Num (float_of_int steps)) ]))
+         (fun (name, t, _, steps, words) ->
+           ( name,
+             Obj
+               [ ("ms", Num (1000.0 *. t)); ("steps", Num (float_of_int steps));
+                 ("words_per_step", Num words) ] ))
          rows)
   in
   let tree_walk =
-    Obj (List.map (fun (name, _, tree_t, _) -> (name, Obj [ ("ms", Num (1000.0 *. tree_t)) ])) rows)
+    Obj
+      (List.map
+         (fun (name, _, tree_t, _, _) -> (name, Obj [ ("ms", Num (1000.0 *. tree_t)) ]))
+         rows)
   in
   let speedup_against key doc_opt =
     match doc_opt with
     | Some b ->
       let ratios =
         List.filter_map
-          (fun (name, t, _, _) ->
+          (fun (name, t, _, _, _) ->
             match Option.bind (member name b) (member "ms") with
             | Some (Num before_ms) when t > 0.0 ->
               Some (name, Num (before_ms /. (1000.0 *. t)))
@@ -1030,12 +1077,13 @@ let interp () =
   print_string
     (Statkit.Table.render
        ~header:
-         [ "workload"; "bytecode(ms)"; "tree-walk(ms)"; "steps"; "vs tree";
-           "vs baseline" ]
+         [ "workload"; "bytecode(ms)"; "tree-walk(ms)"; "steps"; "words/step";
+           "vs tree"; "vs baseline" ]
        (List.map
-          (fun (name, t, tree_t, steps) ->
+          (fun (name, t, tree_t, steps, words) ->
             [ name; Printf.sprintf "%.1f" (1000.0 *. t);
               Printf.sprintf "%.1f" (1000.0 *. tree_t); string_of_int steps;
+              Printf.sprintf "%.1f" words;
               (if t > 0.0 then Printf.sprintf "%.2fx" (tree_t /. t) else "-");
               fmt_ratio "speedup" name ])
           rows));
@@ -1069,7 +1117,9 @@ let interp_smoke_expect =
     ("race-smoke", interp_race_src ~iters:50,
      "finished", [ "300" ], 620);
     ("calls-smoke", interp_calls_src ~calls:60,
-     "finished", [ "60" ], 545) ]
+     "finished", [ "60" ], 545);
+    ("spin-smoke", interp_spin_src ~ticks:40 ~spins:400,
+     "finished", [ "40" ], 1770) ]
 
 let interp_smoke_ub_src =
   {|

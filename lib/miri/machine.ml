@@ -3,7 +3,7 @@
    Since the bytecode lowering, this module is the public face over two
    engines sharing the [Rt] substrate:
    - [Vm] executes flat pre-resolved bytecode ([Minirust.Bytecode], lowered
-     by [Minirust.Compile]) — the default, allocation-free per step;
+     by [Minirust.Compile]) — the default, 8-26 minor words per step;
    - the tree-walking evaluator below, kept behind [config.engine =
      Tree_walk] as a differential-testing escape hatch.
 

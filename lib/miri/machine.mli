@@ -22,9 +22,10 @@ type mode = Stop_first | Collect of int
 
 (** Which execution engine interprets the program. [Bytecode] (the default)
     lowers the typechecked AST to a flat pre-resolved instruction array and
-    runs it on an allocation-free step loop; [Tree_walk] is the original AST
-    evaluator, kept as a differential-testing escape hatch (CLI
-    [--tree-walk]). Both engines share every semantic judgment, so their
+    runs it on a step loop that allocates only what value boxing needs
+    (8-26 minor words per step, pinned by the [cost] tests); [Tree_walk] is
+    the original AST evaluator, kept as a differential-testing escape hatch
+    (CLI [--tree-walk]). Both engines share every semantic judgment, so their
     results — diagnostics, outputs, step counts — are byte-identical. *)
 type engine = Bytecode | Tree_walk
 

@@ -66,9 +66,10 @@ type thread = { tid : int; mutable clock : Vclock.t; mutable status : thread_sta
 (* A suspended thread the scheduler can resume. *)
 type pending = { p_tid : int; run : unit -> unit }
 
-(* Order-preserving growable queue of pendings: [push] appends, [take i]
-   removes the [i]th oldest and closes the gap, so a seeded pick sees
-   exactly the order the old list-based queue held. *)
+(* Growable queue of pendings kept in enqueue order: [pq_push] appends,
+   [pq_take q i] removes the [i]th oldest and closes the gap. The seeded
+   pick is an index into that order, so the order is part of the
+   schedule. *)
 type pqueue = { mutable items : pending array; mutable len : int }
 
 let no_pending = { p_tid = -1; run = ignore }

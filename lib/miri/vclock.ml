@@ -25,16 +25,6 @@ let rec index_of (c : t) n tid i =
     let t, _ = Array.unsafe_get c i in
     if t = tid then i else if t > tid then -1 else index_of c n tid (i + 1)
 
-(* copy [c] into [out] with [out.(dst)] already holding the new entry *)
-let rec fill_insert (c : t) n (out : t) tid src dst =
-  if src < n then
-    let ((t, _) as p) = c.(src) in
-    if t < tid then begin
-      out.(dst) <- p;
-      fill_insert c n out tid (src + 1) (dst + 1)
-    end
-    else Array.blit c src out (dst + 1) (n - src)
-
 let set (c : t) tid v =
   let n = Array.length c in
   let i = index_of c n tid 0 in
@@ -47,7 +37,19 @@ let set (c : t) tid v =
     end
   else begin
     let out = Array.make (n + 1) (tid, v) in
-    fill_insert c n out tid 0 0;
+    let rec fill src dst =
+      if src < n then
+        let ((t, _) as p) = c.(src) in
+        if t < tid then begin
+          out.(dst) <- p;
+          fill (src + 1) (dst + 1)
+        end
+        else begin
+          (* out.(dst) already holds (tid, v) *)
+          Array.blit c src out (dst + 1) (n - src)
+        end
+    in
+    fill 0 0;
     out
   end
 

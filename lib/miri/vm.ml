@@ -1,10 +1,14 @@
 (* Bytecode execution engine.
 
    Executes [Minirust.Bytecode] programs over the shared [Rt] substrate.
-   The hot loop is a tail-recursive dispatch over a flat instruction array
-   that allocates nothing per step: operand values, places (pointer+type),
-   frame slots, live-local indices and scope marks all live in preallocated
-   growable arrays owned by the per-thread [vctx]. Every semantic judgment
+   The hot loop is a tail-recursive dispatch over a flat instruction array.
+   Its own bookkeeping allocates nothing per step: operand values, places
+   (pointer+type), frame slots, live-local indices and scope marks all live
+   in preallocated growable arrays owned by the per-thread [vctx], and slot
+   entries and statics cache their base pointers. What a step does allocate
+   is value boxing in the shared access path (a read's [int64], [V_int] and
+   [Ok]): 7.7-25.5 minor words per step on the programs test/test_cost.ml
+   pins. Every semantic judgment
    (typed access, retags, arithmetic, diagnostics) goes through the same
    [Rt] cores as the tree-walker, so results — including report strings,
    recovery values, step counts and scheduler interleavings — are
@@ -128,9 +132,8 @@ let push_live c idx =
   c.live.(c.lsp) <- idx;
   c.lsp <- c.lsp + 1
 
-let set_slot c idx a ptr ty ~size ~align =
-  c.slots.(idx) <-
-    Some { sl_alloc = a; sl_ptr = ptr; sl_ty = ty; sl_size = size; sl_align = align };
+let set_slot c idx e =
+  c.slots.(idx) <- Some e;
   push_live c idx
 
 let push_mark c =
@@ -411,7 +414,8 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       let a = Rt.tracked_allocate st ~size ~align:(max 1 align) ~kind:Mem.Stack in
       let ptr = Rt.base_pointer a in
       Rt.typed_write_sized ec ptr ty v ~len:size ~align ~atomic:false;
-      set_slot c (c.frame_base + slot) a ptr ty ~size ~align;
+      set_slot c (c.frame_base + slot)
+        { sl_alloc = a; sl_ptr = ptr; sl_ty = ty; sl_size = size; sl_align = align };
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_let_dyn slot ->
       let v = pop c in
@@ -421,7 +425,8 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       let a = Rt.tracked_allocate st ~size ~align:(max 1 align) ~kind:Mem.Stack in
       let ptr = Rt.base_pointer a in
       Rt.typed_write_sized ec ptr ty v ~len:size ~align ~atomic:false;
-      set_slot c (c.frame_base + slot) a ptr ty ~size ~align;
+      set_slot c (c.frame_base + slot)
+        { sl_alloc = a; sl_ptr = ptr; sl_ty = ty; sl_size = size; sl_align = align };
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_assign ->
       c.psp <- c.psp - 1;
@@ -473,9 +478,10 @@ let rec run_code c (f : Bytecode.fn_code) ~lsp0 pc : Value.t =
       let a = Rt.tracked_allocate st ~size:8 ~align:8 ~kind:Mem.Stack in
       let ptr = Rt.base_pointer a in
       Rt.typed_write ec ptr ty (Value.V_handle tid) ~atomic:false;
-      set_slot c (c.frame_base + slot) a ptr ty
-        ~size:(Layout.size_of st.Rt.program ty)
-        ~align:(Layout.align_of st.Rt.program ty);
+      set_slot c (c.frame_base + slot)
+        { sl_alloc = a; sl_ptr = ptr; sl_ty = ty;
+          sl_size = Layout.size_of st.Rt.program ty;
+          sl_align = Layout.align_of st.Rt.program ty };
       run_code c f ~lsp0 (pc + 1)
     | Bytecode.I_spawn_unknown name ->
       invalid_arg ("Machine: spawn of unknown function " ^ name)
@@ -545,7 +551,8 @@ and enter c (f : Bytecode.fn_code) get_arg ~args_base : Value.t =
       let a = Rt.tracked_allocate st ~size ~align:(max 1 align) ~kind:Mem.Stack in
       let ptr = Rt.base_pointer a in
       Rt.typed_write_sized c.ec ptr pty (get_arg i) ~len:size ~align ~atomic:false;
-      set_slot c (new_base + i) a ptr pty ~size ~align
+      set_slot c (new_base + i)
+        { sl_alloc = a; sl_ptr = ptr; sl_ty = pty; sl_size = size; sl_align = align }
     done;
     c.osp <- args_base;
     let v = run_code c f ~lsp0:saved_lsp 0 in

@@ -136,8 +136,9 @@ let test_golden_corpus () =
 
 let sched_programs =
   [ ( "sched_counters",
-      (* two children and main print interleaved counters, then main joins
-         both: the print order is the schedule *)
+      (* main waits on a warm-up child, so for a while one thread runs
+         alone; then two children and main print interleaved counters,
+         and that print order depends on every scheduler draw before it *)
       {|
 fn count(id: i64, n: i64) {
     let mut i = 0;
@@ -148,6 +149,8 @@ fn count(id: i64, n: i64) {
 }
 
 fn main() {
+    let w = spawn count(9, 6);
+    join(w);
     let a = spawn count(1, 12);
     let b = spawn count(2, 12);
     let mut i = 0;
